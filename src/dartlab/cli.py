@@ -4,7 +4,8 @@
     dartlab compare <dir>
     dartlab scenario <name> [--trace P]
 
-Exit codes: 0 ok, 1 config error, 2 audit violation, 3 assertion failure.
+Exit codes: 0 ok, 1 config error (or, for compare, missing counterpart
+cells), 2 audit violation, 3 scenario check failure.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .engine import AuditError
 from .experiment import (
     ConfigError,
     compare_dir,
-    load_config,
+    parse_config,
     run_experiment,
     write_comparison_csv,
 )
@@ -59,7 +60,7 @@ def cmd_run(args) -> int:
         print(f"cannot read config: {e}", file=sys.stderr)
         return CONFIG_ERROR
     try:
-        cfg = load_config(args.config)
+        cfg = parse_config(text)
         if args.seed is not None:
             cfg = replace(cfg, seeds=(args.seed,))
         if args.audit is not None:

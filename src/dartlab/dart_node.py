@@ -119,13 +119,6 @@ class DartRouter:
         self.evicted_darts += len(stale)
         return len(stale)
 
-    def on_link_down(self, neighbor: str) -> int:
-        dead = [e for e in self.by_succ.values()
-                if e.successor == neighbor or e.predecessor == neighbor]
-        for e in dead:
-            self._drop_entry(e)
-        return len(dead)
-
     # -- content -----------------------------------------------------------
 
     def preload(self, data: DataPacket):
@@ -169,7 +162,7 @@ class DartRouter:
     def on_local_interest(self, consumer: str, name: Name, now: float) -> List[Emission]:
         data = self.store.get(name)
         if data is not None:
-            return [Emission(consumer, DataPacket(name, None, data.payload, data.security_payload))]
+            return [Emission(consumer, DataPacket(name))]
         entry = self.rct.get(name)
         if entry is not None and entry.pending:
             entry.consumers.add(consumer)
@@ -198,8 +191,7 @@ class DartRouter:
         name = interest.name
         data = self.store.get(name)
         if data is not None:
-            return [Emission(sender, DataPacket(name, interest.dart,
-                                                data.payload, data.security_payload))]
+            return [Emission(sender, DataPacket(name, interest.dart))]
         if self._anchored(name):
             return [Emission(sender, Nack(name, NackCode.NO_CONTENT, interest.dart))]
         leg = self.by_pred.get((sender, interest.dart))
@@ -218,23 +210,22 @@ class DartRouter:
                                         t.next_hop, sd, t.distance, now))
         return [Emission(t.next_hop, Interest(name, t.distance, sd))]
 
-    def on_data(self, sender: str, data: DataPacket, now: float) -> List[Emission]:
+    def on_data(self, sender: str, data: DataPacket, now: float) -> Optional[List[Emission]]:
+        """None means the Data was dropped as an orphan: no live leg with its
+        token leads to ``sender``."""
         leg = self.by_succ.get(data.dart)
         if leg is None or leg.successor != sender:
             self.orphan_data += 1
-            return []
+            return None
         leg.last_used = now
         if leg.predecessor != self.router_id:
             self._maybe_cache(data, delivered_locally=False)
-            return [Emission(leg.predecessor,
-                             DataPacket(data.name, leg.predecessor_dart,
-                                        data.payload, data.security_payload))]
+            return [Emission(leg.predecessor, DataPacket(data.name, leg.predecessor_dart))]
         entry = self.rct.get(data.name)
         if entry is None or not entry.pending:
             self._maybe_cache(data, delivered_locally=False)
             return []
-        out = [Emission(c, DataPacket(data.name, None, data.payload, data.security_payload))
-               for c in sorted(entry.consumers)]
+        out = [Emission(c, DataPacket(data.name)) for c in sorted(entry.consumers)]
         entry.pending = False
         entry.consumers.clear()
         self.pending_names -= 1
@@ -244,11 +235,12 @@ class DartRouter:
             self._maybe_cache(data, delivered_locally=True)
         return out
 
-    def on_nack(self, sender: str, nack: Nack, now: float) -> List[Emission]:
+    def on_nack(self, sender: str, nack: Nack, now: float) -> Optional[List[Emission]]:
+        """None means the Nack was dropped as an orphan, as in ``on_data``."""
         leg = self.by_succ.get(nack.dart)
         if leg is None or leg.successor != sender:
             self.orphan_nack += 1
-            return []
+            return None
         leg.last_used = now
         if leg.predecessor != self.router_id:
             return [Emission(leg.predecessor,
@@ -260,18 +252,3 @@ class DartRouter:
         del self.rct[nack.name]
         self.pending_names -= 1
         return out
-
-    # -- inspection ----------------------------------------------------------
-
-    def dump_state(self) -> List[str]:
-        me = self.router_id
-        lines = []
-        for (pred, pd) in sorted(self.by_pred):
-            e = self.by_pred[(pred, pd)]
-            lines.append(f"dart {me} {e.anchor} {pred} {pd} "
-                         f"{e.successor} {e.successor_dart} {e.hop_count}")
-        for name in sorted(self.rct):
-            e = self.rct[name]
-            state = "pending" if e.pending else "cached"
-            lines.append(" ".join([f"rct {me} {name} {state}", *sorted(e.consumers)]).rstrip())
-        return lines

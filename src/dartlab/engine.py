@@ -19,6 +19,7 @@ import math
 import random
 from bisect import bisect_right
 from collections import deque
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import accumulate
@@ -494,11 +495,6 @@ class _Simulation:
         node = self.routers[dst]
         if self.audit:
             self.recent.append((now, src, dst, msg))
-        if self.trace:
-            before = None
-            if mt is DataPacket or mt is Nack:
-                before = node.orphan_data + node.orphan_nack if self.scheme is Scheme.DART \
-                    else node.orphan_data + node.nacks_dropped
         if mt is Interest:
             self.interests_received[dst] += 1
             ems = node.on_neighbor_interest(src, msg, now)
@@ -510,13 +506,8 @@ class _Simulation:
         else:
             ems = node.on_nack(src, msg, now)
         if self.trace:
-            kind = _MSG_KIND[mt]
-            if before is not None:
-                after = node.orphan_data + node.orphan_nack if self.scheme is Scheme.DART \
-                    else node.orphan_data + node.nacks_dropped
-                self._tline(now, dst, "DROP" if after > before else "RX", kind, msg, src)
-            else:
-                self._tline(now, dst, "RX", kind, msg, src)
+            # handlers return None exactly when they drop the packet
+            self._tline(now, dst, "RX" if ems is not None else "DROP", _MSG_KIND[mt], msg, src)
         if ems:
             self._process_emissions(now, dst, ems, msg, chain)
 
@@ -626,11 +617,7 @@ def run(topology: Topology, fibs: Dict[str, Fib], scheme, caching_mode,
         scheme = Scheme(scheme)
     if not isinstance(caching_mode, CachingMode):
         caching_mode = CachingMode(caching_mode)
-    if trace_path:
-        with open(trace_path, "w") as fh:
-            sim = _Simulation(topology, fibs, scheme, caching_mode,
-                              workload=workload, audits=audits, trace=fh, **kwargs)
-            return sim.run()
-    sim = _Simulation(topology, fibs, scheme, caching_mode,
-                      workload=workload, audits=audits, trace=None, **kwargs)
-    return sim.run()
+    with open(trace_path, "w") if trace_path else nullcontext() as fh:
+        sim = _Simulation(topology, fibs, scheme, caching_mode,
+                          workload=workload, audits=audits, trace=fh, **kwargs)
+        return sim.run()

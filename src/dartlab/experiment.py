@@ -57,6 +57,13 @@ class ExperimentConfig:
     store_capacity: int = 0       # 0 = unbounded
     workers: int = 1
 
+    def __post_init__(self):
+        # a non-positive period would re-arm its timer at or before now forever
+        if not self.sweep_interval_s > 0:
+            raise ConfigError(f"sweep_interval_s must be > 0, got {self.sweep_interval_s}")
+        if not self.sample_interval_ms > 0:
+            raise ConfigError(f"sample_interval_ms must be > 0, got {self.sample_interval_ms}")
+
     def cells(self) -> List[Tuple[str, str, float, int]]:
         return [(sch, ca, rate, seed)
                 for sch in self.schemes for ca in self.caching
@@ -108,10 +115,6 @@ def parse_config(text: str) -> ExperimentConfig:
     return cfg
 
 
-def load_config(path) -> ExperimentConfig:
-    return parse_config(Path(path).read_text())
-
-
 def build_topology(cfg: ExperimentConfig) -> Topology:
     topo = generate_topology(cfg.nodes, cfg.area, cfg.radius, cfg.link_delay_ms,
                              seed=cfg.topology_seed)
@@ -154,21 +157,26 @@ def write_rows(path: Path, rows) -> None:
     os.replace(tmp, path)
 
 
+def engine_options(cfg: ExperimentConfig) -> Dict[str, object]:
+    """The ``engine.run`` keyword arguments a config fixes for every cell."""
+    return dict(audits=cfg.audit,
+                dart_ttl_ms=cfg.dart_ttl_s * 1000.0,
+                pit_lifetime_ms=cfg.pit_lifetime_s * 1000.0,
+                retry_timeout_ms=cfg.retry_timeout_s * 1000.0,
+                max_tries=cfg.max_tries, warmup_fraction=cfg.warmup_frac,
+                sample_interval_ms=cfg.sample_interval_ms,
+                sweep_interval_ms=cfg.sweep_interval_s * 1000.0,
+                store_capacity=cfg.store_capacity or None)
+
+
 def run_cell(cfg: ExperimentConfig, scheme: str, caching: str, rate: float,
              seed: int, out_dir, trace_path: Optional[str] = None) -> str:
     topo = build_topology(cfg)
     fibs = compute_fibs(topo)
     catalog = build_catalog(cfg, topo)
     wl = WorkloadSpec(cfg.zipf_alpha, cfg.catalog, rate, cfg.duration_s, seed)
-    rep = run(topo, fibs, scheme, caching, workload=wl, audits=cfg.audit,
-              catalog=catalog, trace_path=trace_path,
-              dart_ttl_ms=cfg.dart_ttl_s * 1000.0,
-              pit_lifetime_ms=cfg.pit_lifetime_s * 1000.0,
-              retry_timeout_ms=cfg.retry_timeout_s * 1000.0,
-              max_tries=cfg.max_tries, warmup_fraction=cfg.warmup_frac,
-              sample_interval_ms=cfg.sample_interval_ms,
-              sweep_interval_ms=cfg.sweep_interval_s * 1000.0,
-              store_capacity=cfg.store_capacity or None)
+    rep = run(topo, fibs, scheme, caching, workload=wl, catalog=catalog,
+              trace_path=trace_path, **engine_options(cfg))
     name = cell_filename(scheme, caching, rate, seed)
     write_rows(Path(out_dir) / name, rep.rows())
     return name

@@ -8,10 +8,10 @@ looks like at rest.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, NamedTuple, Optional
-from urllib.parse import quote, unquote
+from urllib.parse import quote
 
 
 class NameError_(ValueError):
@@ -162,9 +162,6 @@ class Interest:
 class DataPacket:
     name: Name
     dart: Optional[Dart] = None
-    payload: bytes = b""
-    # Binds name to content; checked (vacuously, for now) before caching.
-    security_payload: bytes = b""
 
 
 @dataclass(frozen=True, slots=True)
@@ -189,71 +186,11 @@ class Emission(NamedTuple):
     message: object
 
 
-def verify_security_payload(data: DataPacket) -> bool:
-    """Placeholder integrity check for the name<->content binding.
-
-    The lab has no adversary, so this always passes; it exists so the cache
-    admission path has the right shape.
-    """
-    return True
-
-
-# --- canonical wire encoding ------------------------------------------------
-#
-# One line per message, space-separated key=value fields, '-' for absent
-# optionals.  Name components are percent-escaped individually so arbitrary
-# component strings survive a round trip.
+# Name components are percent-escaped individually so a trace line stays
+# single-line ASCII whatever the component strings hold.
 
 def _esc_name(name: Name) -> str:
     return "/" + "/".join(quote(c, safe="") for c in name.components)
-
-
-def _unesc_name(text: str) -> Name:
-    if not text.startswith("/"):
-        raise ValueError(f"bad name field: {text!r}")
-    return Name(unquote(c) for c in text[1:].split("/"))
-
-
-def encode_message(msg) -> str:
-    t = type(msg)
-    if t is Interest:
-        h = "-" if msg.hop_count is None else str(msg.hop_count)
-        d = "-" if msg.dart is None else str(msg.dart)
-        return f"INT name={_esc_name(msg.name)} h={h} dart={d}"
-    if t is DataPacket:
-        d = "-" if msg.dart is None else str(msg.dart)
-        return (f"DATA name={_esc_name(msg.name)} dart={d} "
-                f"payload={msg.payload.hex() or '-'} sec={msg.security_payload.hex() or '-'}")
-    if t is Nack:
-        d = "-" if msg.dart is None else str(msg.dart)
-        return f"NACK name={_esc_name(msg.name)} code={msg.code.value} dart={d}"
-    if t is NdnInterest:
-        return f"NINT name={_esc_name(msg.name)} nonce={msg.nonce}"
-    raise TypeError(f"not a wire message: {msg!r}")
-
-
-def decode_message(line: str):
-    parts = line.split(" ")
-    kind, fields = parts[0], {}
-    for p in parts[1:]:
-        k, _, v = p.partition("=")
-        fields[k] = v
-
-    def opt_int(v):
-        return None if v == "-" else int(v)
-
-    name = _unesc_name(fields["name"])
-    if kind == "INT":
-        return Interest(name, opt_int(fields["h"]), opt_int(fields["dart"]))
-    if kind == "DATA":
-        return DataPacket(name, opt_int(fields["dart"]),
-                          b"" if fields["payload"] == "-" else bytes.fromhex(fields["payload"]),
-                          b"" if fields["sec"] == "-" else bytes.fromhex(fields["sec"]))
-    if kind == "NACK":
-        return Nack(name, NackCode(fields["code"]), opt_int(fields["dart"]))
-    if kind == "NINT":
-        return NdnInterest(name, int(fields["nonce"]))
-    raise ValueError(f"unknown message kind: {kind!r}")
 
 
 class ContentStore:
@@ -277,8 +214,6 @@ class ContentStore:
         self.owned[data.name] = data
 
     def cache(self, data: DataPacket):
-        if not verify_security_payload(data):
-            return  # pragma: no cover - no adversary in the lab
         name = data.name
         if name in self.owned:
             return

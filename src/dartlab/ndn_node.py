@@ -27,14 +27,12 @@ from .routing import Fib
 
 
 class PitEntry:
-    __slots__ = ("in_records", "out_interfaces", "created", "expiry")
+    __slots__ = ("in_records", "expiry")
 
-    def __init__(self, created: float, expiry: float):
+    def __init__(self, expiry: float):
         # nonce -> interface the interest arrived on (insertion-ordered, so
         # data fan-out is deterministic)
         self.in_records: Dict[int, str] = {}
-        self.out_interfaces: Set[str] = set()
-        self.created = created
         self.expiry = expiry
 
 
@@ -77,7 +75,7 @@ class NdnRouter:
         name, nonce = interest.name, interest.nonce
         data = self.store.get(name)
         if data is not None:
-            return [Emission(sender, DataPacket(name, None, data.payload, data.security_payload))]
+            return [Emission(sender, data)]
         if nonce in self.seen_nonces:
             # the same interest came around again: classic duplicate kill
             self.loop_nacks_sent += 1
@@ -99,19 +97,19 @@ class NdnRouter:
                     break
         if nxt is None:
             return [Emission(sender, Nack(name, NackCode.NO_ROUTE))]
-        entry = PitEntry(created=now, expiry=now + self.pit_lifetime_ms)
+        entry = PitEntry(now + self.pit_lifetime_ms)
         entry.in_records[nonce] = sender
-        entry.out_interfaces.add(nxt.next_hop)
         self.pit[name] = entry
         return [Emission(nxt.next_hop, NdnInterest(name, nonce))]
 
-    def on_data(self, sender: str, data: DataPacket, now: float) -> List[Emission]:
+    def on_data(self, sender: str, data: DataPacket, now: float) -> Optional[List[Emission]]:
+        """None means the Data was dropped: no PIT entry waits for it."""
         entry = self.pit.pop(data.name, None)
         if entry is None:
             self.orphan_data += 1
-            return []
-        out = [Emission(iface, DataPacket(data.name, None, data.payload, data.security_payload))
-               for iface in entry.in_records.values()]
+            return None
+        # Data carries no per-hop state here, so the packet itself travels on
+        out = [Emission(iface, data) for iface in entry.in_records.values()]
         mode = self.caching_mode
         if mode is CachingMode.ON_PATH:
             self.store.cache(data)
@@ -120,11 +118,11 @@ class NdnRouter:
                 self.store.cache(data)
         return out
 
-    def on_nack(self, sender: str, nack: Nack, now: float) -> List[Emission]:
+    def on_nack(self, sender: str, nack: Nack, now: float) -> None:
         # baseline routers swallow refusals; downstream consumers are left
         # to their retransmission timers
         self.nacks_dropped += 1
-        return []
+        return None
 
     def expire_pit(self, now: float) -> int:
         dead = [n for n, e in self.pit.items() if e.expiry <= now]
@@ -132,12 +130,3 @@ class NdnRouter:
             del self.pit[n]
         self.expired_pit += len(dead)
         return len(dead)
-
-    def dump_state(self) -> List[str]:
-        lines = []
-        for name in sorted(self.pit):
-            e = self.pit[name]
-            ins = " ".join(f"{nonce},{iface}" for nonce, iface in e.in_records.items())
-            outs = " ".join(sorted(e.out_interfaces))
-            lines.append(f"pit {self.router_id} {name} {ins} {outs}")
-        return lines

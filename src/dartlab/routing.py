@@ -125,9 +125,9 @@ class Fib:
 
     def __init__(self, entries: Dict[Prefix, Tuple[FibTuple, ...]]):
         self.entries = dict(entries)
-        by_len: Dict[int, Dict[tuple, Tuple[Prefix, Tuple[FibTuple, ...]]]] = {}
+        by_len: Dict[int, Dict[tuple, Tuple[FibTuple, ...]]] = {}
         for prefix, tuples in self.entries.items():
-            by_len.setdefault(len(prefix), {})[prefix.components] = (prefix, tuples)
+            by_len.setdefault(len(prefix), {})[prefix.components] = tuples
         self._probe = sorted(by_len.items(), key=lambda kv: -kv[0])
 
     def lookup(self, name: Name) -> Optional[Tuple[FibTuple, ...]]:
@@ -135,15 +135,7 @@ class Fib:
         for length, table in self._probe:
             hit = table.get(comps[:length])
             if hit is not None:
-                return hit[1]
-        return None
-
-    def match(self, name: Name) -> Optional[Prefix]:
-        comps = name.components
-        for length, table in self._probe:
-            hit = table.get(comps[:length])
-            if hit is not None:
-                return hit[0]
+                return hit
         return None
 
     def prefixes(self):
@@ -252,47 +244,3 @@ def dump_fibs(fibs: Dict[str, Fib]) -> List[str]:
             for t in fib.tuples(prefix):
                 lines.append(f"fib {router} {prefix} {t.rank} {t.next_hop} {t.distance} {t.anchor}")
     return lines
-
-
-# --- flat file form ----------------------------------------------------------
-# node <id> <x> <y> / link <u> <v> <delay_ms> / anchor <prefix> <router>
-# Whitespace-delimited, so router ids and prefixes must be space-free.
-
-def save_topology(topology: Topology) -> str:
-    lines = []
-    for r in topology.routers:
-        x, y = topology.positions.get(r, (0.0, 0.0))
-        lines.append(f"node {r} {x!r} {y!r}")
-    for (u, v) in sorted(topology.links):
-        lines.append(f"link {u} {v} {topology.links[(u, v)]!r}")
-    for prefix in sorted(topology.anchors):
-        for r in topology.anchors[prefix]:
-            lines.append(f"anchor {prefix} {r}")
-    return "\n".join(lines) + "\n"
-
-
-def load_topology(text: str) -> Topology:
-    routers: List[str] = []
-    positions = {}
-    links = {}
-    anchors: Dict[Prefix, List[str]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        try:
-            if parts[0] == "node" and len(parts) == 4:
-                routers.append(parts[1])
-                positions[parts[1]] = (float(parts[2]), float(parts[3]))
-            elif parts[0] == "link" and len(parts) == 4:
-                u, v = sorted(parts[1:3])
-                links[(u, v)] = float(parts[3])
-            elif parts[0] == "anchor" and len(parts) == 3:
-                anchors.setdefault(Prefix.parse(parts[1]), []).append(parts[2])
-            else:
-                raise ValueError("unrecognised record")
-        except (ValueError, IndexError) as e:
-            raise TopologyError(f"line {lineno}: {raw!r}: {e}") from None
-    return Topology(tuple(routers), links,
-                    {p: tuple(rs) for p, rs in anchors.items()}, positions)

@@ -19,7 +19,8 @@ import pytest
 
 from dartlab.cli import main as cli_main
 from dartlab.engine import WorkloadSpec, run
-from dartlab.experiment import ExperimentConfig, build_catalog, build_topology
+from dartlab.experiment import (ExperimentConfig, build_catalog, build_topology,
+                                engine_options)
 from dartlab.model import Name, Prefix
 from dartlab.routing import (Topology, compute_fibs, inject_stale_distances,
                              override_rankings)
@@ -43,15 +44,8 @@ def grid():
     out = {}
     for scheme, caching, rate, seed in cfg.cells():
         wl = WorkloadSpec(cfg.zipf_alpha, cfg.catalog, rate, cfg.duration_s, seed)
-        rep = run(topo, fibs, scheme, caching, workload=wl, audits=cfg.audit,
-                  catalog=catalog,
-                  dart_ttl_ms=cfg.dart_ttl_s * 1000.0,
-                  pit_lifetime_ms=cfg.pit_lifetime_s * 1000.0,
-                  retry_timeout_ms=cfg.retry_timeout_s * 1000.0,
-                  max_tries=cfg.max_tries, warmup_fraction=cfg.warmup_frac,
-                  sample_interval_ms=cfg.sample_interval_ms,
-                  sweep_interval_ms=cfg.sweep_interval_s * 1000.0,
-                  store_capacity=cfg.store_capacity or None)
+        rep = run(topo, fibs, scheme, caching, workload=wl, catalog=catalog,
+                  **engine_options(cfg))
         out.setdefault((scheme, caching, rate), []).append(rep)
     return out
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -73,6 +76,18 @@ def test_exit_codes_for_config_problems(tmp_path, capsys):
     assert cli.main(["scenario", "unknown-name"]) == 1
     assert cli.main(["not-a-command"]) == 1
     assert cli.main(["--help"]) == 0
+
+
+@pytest.mark.parametrize("line", ["sweep_interval_s = -1", "sample_interval_ms = -5"])
+def test_negative_timer_interval_exits_1_instead_of_hanging(tmp_path, line):
+    # a negative period used to re-arm its timer in the past, looping forever
+    cfg = write_cfg(tmp_path, CFG + line + "\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-m", "dartlab.cli", "run", cfg,
+                           "--out", str(tmp_path / "r")],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert done.returncode == 1, done.stderr
+    assert f"config error: {line.split()[0]} must be > 0" in done.stderr
 
 
 def test_compare_exit_code_reports_missing_counterparts(tmp_path, capsys):

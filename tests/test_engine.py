@@ -1,3 +1,4 @@
+import io
 import math
 import re
 from collections import Counter
@@ -303,8 +304,9 @@ def test_audits_can_be_disabled():
 def test_trace_file_format(tmp_path):
     topo, fibs = line_topology(3)
     path = tmp_path / "trace.txt"
+    weird = Name(["p", "a b", "c=d", "%25", "\n", "é"])
     run(topo, fibs, "dart", "none",
-        requests=[(0.0, "c.a", Name.parse("/p/0"))],
+        requests=[(0.0, "c.a", Name.parse("/p/0")), (1.0, "c.a", weird)],
         consumers={"c.a": "a"}, catalog=catalog(), duration_ms=500.0,
         trace_path=str(path))
     lines = path.read_text().splitlines()
@@ -312,9 +314,59 @@ def test_trace_file_format(tmp_path):
     pat = re.compile(r"^t=[0-9.]+ \S+ (RX|TX|DROP) (INT|DATA|NACK) "
                      r"name=\S+ h=\S+ dart=\S+ peer=\S+$")
     for line in lines:
-        assert pat.match(line), line
+        assert pat.match(line) and line.isascii(), line
     assert any(" DATA " in l for l in lines)
     assert lines[0] == "t=0.0 a RX INT name=/p/0 h=- dart=- peer=c.a"
+    # odd components are escaped one by one, so each event stays one line
+    assert any(" name=/p/a%20b/c%3Dd/%2525/%0A/%C3%A9 " in l for l in lines)
+
+
+def _drops(lines):
+    return [l.split(" name=")[0] for l in lines if " DROP " in l]
+
+
+def test_trace_marks_dropped_packets(tmp_path):
+    topo, fibs = line_topology(3)
+    # DART: legs idle out while the Data is in flight, so b drops it as an orphan
+    path = tmp_path / "dart.txt"
+    rep = run(topo, fibs, "dart", "none",
+              requests=[(0.0, "c.a", Name.parse("/p/0"))],
+              consumers={"c.a": "a"}, catalog=catalog(), duration_ms=500.0,
+              dart_ttl_ms=10.0, sweep_interval_ms=20.0, trace_path=str(path))
+    assert _drops(path.read_text().splitlines()) == ["t=75.0 b DROP DATA"]
+    assert rep.orphan_data == 1
+
+    # NDN: an expired PIT entry orphans the Data, and every Nack is swallowed
+    path = tmp_path / "ndn.txt"
+    rep = run(topo, fibs, "ndn", "none",
+              requests=[(0.0, "c.a", Name.parse("/p/0")),
+                        (0.0, "c.a", Name.parse("/p/9"))],  # the anchor lacks it
+              consumers={"c.a": "a"}, catalog=catalog(), duration_ms=500.0,
+              pit_lifetime_ms=10.0, sweep_interval_ms=20.0, max_tries=1,
+              trace_path=str(path))
+    lines = path.read_text().splitlines()
+    assert _drops(lines) == ["t=75.0 b DROP DATA", "t=75.0 b DROP NACK"]
+    assert not any(" RX NACK " in l for l in lines)
+    assert rep.orphan_data == 1 and rep.nacks_dropped == 1
+
+
+def test_trace_keeps_late_data_at_its_origin_as_rx():
+    # b answers twice: the second Data reaches a with no one waiting, which
+    # is not an orphan (the leg is live), so it is received, not dropped
+    topo, fibs = line_topology(3)
+    buf = io.StringIO()
+    sim = _Simulation(topo, fibs, Scheme.DART, CachingMode.EDGE,
+                      requests=[(0.0, "c.a", Name.parse("/p/0"))],
+                      consumers={"c.a": "a"}, catalog=catalog(),
+                      duration_ms=500.0, trace=buf)
+    relay = sim.routers["b"].on_data
+    sim.routers["b"].on_data = lambda s, d, now: 2 * relay(s, d, now)
+    rep = sim.run()
+    lines = buf.getvalue().splitlines()
+    assert [l.split(" name=")[0] for l in lines if l.startswith("t=100.0 a ")] == \
+        ["t=100.0 a RX DATA", "t=100.0 a TX DATA", "t=100.0 a RX DATA"]
+    assert _drops(lines) == []
+    assert rep.orphan_data == 0 and rep.delivered == 1
 
 
 def test_rows_match_csv_contract():

@@ -12,7 +12,6 @@ from dartlab.experiment import (
     build_topology,
     cell_filename,
     compare_dir,
-    load_config,
     parse_config,
     run_experiment,
     write_comparison_csv,
@@ -60,6 +59,8 @@ def test_parse_config_defaults_and_overrides():
     ("schemes = dart,foo", "unknown scheme"),
     ("caching = sometimes", "unknown caching"),
     ("audit = maybe", "bad value for audit"),
+    ("sweep_interval_s = 0", "sweep_interval_s must be > 0"),
+    ("sample_interval_ms = 0", "sample_interval_ms must be > 0"),
 ])
 def test_parse_config_rejects(bad, frag):
     with pytest.raises(ConfigError, match=frag):

@@ -14,9 +14,7 @@ from dartlab.routing import (
     dump_fibs,
     generate_topology,
     inject_stale_distances,
-    load_topology,
     override_rankings,
-    save_topology,
 )
 
 
@@ -129,14 +127,13 @@ def test_lpm_against_bruteforce():
     comps = ["a", "b", "c"]
     prefixes = [Prefix(()), Prefix(("a",)), Prefix(("a", "b")),
                 Prefix(("a", "b", "c")), Prefix(("b",))]
-    dummy = tuple
-    entries = {p: (FibTuple("x", 1, "x", 1),) for p in prefixes}
+    # a distinct tuple per prefix, so the tuples returned name the match
+    entries = {p: (FibTuple(str(p), 1, "x", 1),) for p in prefixes}
     fib = Fib(entries)
     for _ in range(200):
         name = Name([rng.choice(comps) for _ in range(rng.randint(1, 4))])
         matching = [p for p in prefixes if p.matches(name)]
         want = max(matching, key=len) if matching else None
-        assert fib.match(name) == want
         if want is None:
             assert fib.lookup(name) is None
         else:
@@ -182,18 +179,3 @@ def test_dump_fibs_format():
     lines = dump_fibs(fibs)
     assert "fib b /p 1 c 2 d" in lines
     assert lines == sorted(lines, key=lambda l: (l.split()[1], l.split()[2], int(l.split()[3])))
-
-
-def test_topology_save_load_roundtrip():
-    topo = generate_topology(12, 60.0, 30.0, 7.5, seed=3)
-    topo = topo.with_anchors({Prefix.parse("/p0"): (topo.routers[0], topo.routers[3])})
-    back = load_topology(save_topology(topo))
-    assert back.routers == topo.routers
-    assert back.links == topo.links
-    assert back.anchors == topo.anchors
-    assert back.positions == topo.positions
-
-
-def test_load_topology_reports_line():
-    with pytest.raises(TopologyError, match="line 2"):
-        load_topology("node a 0 0\nlink a\n")
