@@ -45,7 +45,7 @@ class Scheme(Enum):
 
 
 # event kinds, cheapest-to-compare first in rough frequency order
-_DELIVER, _REQUEST, _RETRY, _SAMPLE, _SWEEP, _FIB_EDIT = range(6)
+_DELIVER, _REQUEST, _RETRY, _SAMPLE, _SWEEP = range(5)
 
 
 class AuditError(Exception):
@@ -156,9 +156,6 @@ class MetricsReport:
     store_evictions: int = 0
     nacks_dropped: int = 0
     nacked_by_code: Dict[str, int] = field(default_factory=dict)
-    # optional path collection (small scripted runs)
-    interest_paths: List[Tuple[str, ...]] = field(default_factory=list)
-    data_paths: List[Tuple[str, ...]] = field(default_factory=list)
 
     def overall_delay_ms(self) -> Optional[float]:
         total = sum(self.delay_count.values())
@@ -226,22 +223,26 @@ class _Simulation:
     def __init__(self, topology: Topology, fibs: Dict[str, Fib], scheme: Scheme,
                  caching_mode: CachingMode, *, workload=None, requests=None,
                  consumers=None, catalog=None, audits=True, trace=None,
-                 fib_edits=(), dart_ttl_ms=10_000.0, pit_lifetime_ms=4_000.0,
+                 dart_ttl_ms=10_000.0, pit_lifetime_ms=4_000.0,
                  sweep_interval_ms=1_000.0, sample_interval_ms=100.0,
                  warmup_fraction=0.1, retry_timeout_ms=1_000.0, max_tries=3,
-                 store_capacity=None, collect_paths=False, duration_ms=None,
-                 seed=0):
+                 store_capacity=None, duration_ms=None, seed=0):
         if workload is not None and requests is not None:
             raise ValueError("pass either a workload or scripted requests, not both")
         if catalog is None:
             raise ValueError("catalog of content names is required")
         if workload is not None and len(catalog) < workload.catalog_size:
             raise ValueError("catalog smaller than workload.catalog_size")
+        # a non-positive period would re-arm its timer at or before now forever
+        for key, value in (("sweep_interval_ms", sweep_interval_ms),
+                           ("sample_interval_ms", sample_interval_ms),
+                           ("retry_timeout_ms", retry_timeout_ms)):
+            if not value > 0:
+                raise ValueError(f"{key} must be > 0, got {value}")
         self.topology = topology
         self.scheme = scheme
         self.caching_mode = caching_mode
         self.catalog: List[Name] = list(catalog)
-        self.collect_paths = collect_paths
         self.max_tries = max_tries
         self.retry_timeout_ms = retry_timeout_ms
         self.sweep_interval_ms = sweep_interval_ms
@@ -304,17 +305,13 @@ class _Simulation:
             self.horizon_ms = last_request_ms + 1.0
         self.warmup_ms = self.horizon_ms * warmup_fraction
 
-        if sweep_interval_ms and sweep_interval_ms <= self.horizon_ms:
+        if sweep_interval_ms <= self.horizon_ms:
             self._push(sweep_interval_ms, _SWEEP, None)
         first_sample = self.warmup_ms + sample_interval_ms
-        if sample_interval_ms and first_sample <= self.horizon_ms:
+        if first_sample <= self.horizon_ms:
             self._push(first_sample, _SAMPLE, None)
-        for (t, r, fib) in fib_edits:
-            self._push(t, _FIB_EDIT, (r, fib))
 
-        # audit / path plumbing
         self.audit = bool(audits) and scheme is Scheme.DART
-        self.thread_chains = self.audit or collect_paths
         self.recent: deque = deque(maxlen=256)
 
         # metrics accumulators
@@ -335,8 +332,6 @@ class _Simulation:
         self.abandoned = 0
         self.retries = 0
         self.nacked_by_code: Dict[str, int] = {}
-        self.interest_paths: List[Tuple[str, ...]] = []
-        self.data_paths: List[Tuple[str, ...]] = []
 
     # -- plumbing ------------------------------------------------------------
 
@@ -374,14 +369,12 @@ class _Simulation:
             ems = node.on_interest(consumer, msg, now)
         self._process_emissions(now, r, ems, None, ())
 
-    def _consumer_receive(self, now: float, consumer: str, msg, data_path):
+    def _consumer_receive(self, now: float, consumer: str, msg):
         key = (consumer, msg.name)
         rec = self.open.get(key)
+        if rec is None:
+            return
         if type(msg) is DataPacket:
-            if data_path is not None:
-                self.data_paths.append(data_path)
-            if rec is None:
-                return
             warm = self.warmup_ms
             r = self.consumer_router[consumer]
             for t0 in rec.issues:
@@ -391,8 +384,6 @@ class _Simulation:
                     self.delay_count[r] += 1
             del self.open[key]
         else:
-            if rec is None:
-                return
             n = len(rec.issues)
             self.nacked += n
             code = msg.code.value
@@ -412,7 +403,7 @@ class _Simulation:
         self._next_token += 1
         self.open[key] = _OpenRequest(self._next_token, now)
         self._local_ask(now, consumer, name)
-        if key in self.open and self.retry_timeout_ms:
+        if key in self.open:
             self._push(now + self.retry_timeout_ms, _RETRY, (consumer, name, self._next_token))
 
     def _retry(self, now: float, consumer: str, name: Name, token: int):
@@ -434,58 +425,28 @@ class _Simulation:
 
     def _process_emissions(self, now: float, src: str, ems, in_msg, in_chain):
         """Route a handler's emissions: consumer deliveries happen now (the
-        consumer sits on its router); neighbour messages ride the link."""
+        consumer sits on its router); neighbour messages ride the link.  Only
+        audited DART Interests carry a forward chain; all else carries ()."""
         consumer_router = self.consumer_router
-        thread = self.thread_chains
-        terminal_recorded = False
         for dst, m in ems:
             mt = type(m)
             if dst in consumer_router:
                 if self.trace:
                     self._tline(now, src, "TX", _MSG_KIND[mt], m, dst)
-                data_path = None
-                if self.collect_paths and mt is DataPacket:
-                    if in_msg is None:
-                        # answered straight from the local store
-                        self.interest_paths.append((src,))
-                        data_path = (src,)
-                    elif type(in_msg) is DataPacket:
-                        data_path = in_chain + (src,)
-                    else:
-                        # terminal answer to an interest at its first router
-                        self.interest_paths.append(in_chain + (src,))
-                        data_path = (src,)
-                self._consumer_receive(now, dst, m, data_path)
+                self._consumer_receive(now, dst, m)
                 continue
-
-            if thread:
-                if mt is Interest or mt is NdnInterest:
-                    if in_msg is not None and (type(in_msg) is Interest or type(in_msg) is NdnInterest):
-                        if self.audit:
-                            if src in in_chain:
-                                raise AuditError("path-acyclicity", src, m,
-                                                 in_chain, self._recent_lines())
-                            if mt is Interest and m.hop_count >= in_msg.hop_count:
-                                raise AuditError("hop-count-descent", src, m,
-                                                 in_chain, self._recent_lines())
-                        chain = in_chain + (src,)
-                    else:
-                        chain = (src,)
-                elif mt is DataPacket:
-                    if self.collect_paths and in_msg is not None and \
-                            (type(in_msg) is Interest or type(in_msg) is NdnInterest) and not terminal_recorded:
-                        # interest journey ends here; remember how it came
-                        self.interest_paths.append(in_chain + (src,))
-                        terminal_recorded = True
-                    chain = in_chain + (src,) if (in_msg is not None and type(in_msg) is DataPacket) else (src,)
-                else:  # Nack: response path, never audited
-                    if self.collect_paths and in_msg is not None and \
-                            (type(in_msg) is Interest or type(in_msg) is NdnInterest) and not terminal_recorded:
-                        self.interest_paths.append(in_chain + (src,))
-                        terminal_recorded = True
-                    chain = ()
-            else:
-                chain = ()
+            chain = ()
+            if self.audit and mt is Interest:
+                if type(in_msg) is Interest:
+                    if src in in_chain:
+                        raise AuditError("path-acyclicity", src, m,
+                                         in_chain, self._recent_lines())
+                    if m.hop_count >= in_msg.hop_count:
+                        raise AuditError("hop-count-descent", src, m,
+                                         in_chain, self._recent_lines())
+                    chain = in_chain + (src,)
+                else:
+                    chain = (src,)
             if self.trace:
                 self._tline(now, src, "TX", _MSG_KIND[mt], m, dst)
             self._push(now + self.topology.delay(src, dst), _DELIVER, (dst, src, m, chain))
@@ -554,10 +515,8 @@ class _Simulation:
                 self._retry(now, data[0], data[1], data[2])
             elif kind == _SAMPLE:
                 self._sample(now)
-            elif kind == _SWEEP:
-                self._sweep(now)
             else:
-                self.routers[data[0]].fib = data[1]
+                self._sweep(now)
         return self._report()
 
     def _report(self) -> MetricsReport:
@@ -598,9 +557,6 @@ class _Simulation:
             rep.aggregated = sum(n.aggregated for n in nodes)
             rep.pit_expired = sum(n.expired_pit for n in nodes)
             rep.nacks_dropped = sum(n.nacks_dropped for n in nodes)
-        if self.collect_paths:
-            rep.interest_paths = self.interest_paths
-            rep.data_paths = self.data_paths
         return rep
 
 

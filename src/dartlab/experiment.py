@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 import random
 from concurrent.futures import ProcessPoolExecutor
@@ -58,11 +59,35 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
-        # a non-positive period would re-arm its timer at or before now forever
-        if not self.sweep_interval_s > 0:
-            raise ConfigError(f"sweep_interval_s must be > 0, got {self.sweep_interval_s}")
-        if not self.sample_interval_ms > 0:
-            raise ConfigError(f"sample_interval_ms must be > 0, got {self.sample_interval_ms}")
+        # comparisons are written so that NaN fails them too
+        def need(ok: bool, key: str, rule: str):
+            if not ok:
+                raise ConfigError(f"{key} must be {rule}, got {getattr(self, key)}")
+
+        need(self.nodes >= 1, "nodes", ">= 1")
+        need(self.producers >= 0, "producers", ">= 0")
+        for key in ("link_delay_ms", "dart_ttl_s", "pit_lifetime_s",
+                    "retry_timeout_s", "sample_interval_ms", "sweep_interval_s"):
+            need(getattr(self, key) > 0, key, "> 0")
+        # an infinite duration or rate never runs out of requests
+        need(0 < self.duration_s < math.inf, "duration_s", "> 0 and finite")
+        need(all(0 < r < math.inf for r in self.rates), "rates", "> 0 and finite")
+        need(self.catalog >= 1, "catalog", ">= 1")
+        need(self.max_tries >= 1, "max_tries", ">= 1")
+        need(math.isfinite(self.zipf_alpha) and self.zipf_alpha >= 0, "zipf_alpha",
+             "finite and >= 0")
+        need(0 <= self.warmup_frac < 1, "warmup_frac", "in [0, 1)")
+        need(self.store_capacity >= 0, "store_capacity", ">= 0")
+        need(self.workers >= 1, "workers", ">= 1")
+        for key in ("schemes", "caching", "rates", "seeds"):
+            need(0 < len(set(getattr(self, key))) == len(getattr(self, key)), key,
+                 "non-empty and free of duplicates")
+        for sch in self.schemes:
+            if sch not in ("dart", "ndn"):
+                raise ConfigError(f"unknown scheme {sch!r}")
+        for ca in self.caching:
+            if ca not in ("edge", "onpath", "none"):
+                raise ConfigError(f"unknown caching mode {ca!r}")
 
     def cells(self) -> List[Tuple[str, str, float, int]]:
         return [(sch, ca, rate, seed)
@@ -105,14 +130,7 @@ def parse_config(text: str) -> ExperimentConfig:
                 values[key] = type(getattr(base, key))(value)
         except ValueError as e:
             raise ConfigError(f"line {lineno}: bad value for {key}: {e}") from None
-    cfg = replace(base, **values)
-    for sch in cfg.schemes:
-        if sch not in ("dart", "ndn"):
-            raise ConfigError(f"unknown scheme {sch!r}")
-    for ca in cfg.caching:
-        if ca not in ("edge", "onpath", "none"):
-            raise ConfigError(f"unknown caching mode {ca!r}")
-    return cfg
+    return replace(base, **values)
 
 
 def build_topology(cfg: ExperimentConfig) -> Topology:

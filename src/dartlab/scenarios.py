@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from .engine import Scheme, _Simulation
 from .model import CachingMode, Name, Prefix
@@ -70,9 +70,29 @@ def _simulate(topo, fibs, scheme, requests, consumers, *, caching="none",
     sim = _Simulation(topo, fibs, scheme, CachingMode(caching),
                       requests=requests, consumers=consumers,
                       catalog=[OBJ, OBJ2], duration_ms=duration_ms,
-                      trace=buf, collect_paths=True, warmup_fraction=0.0, **kw)
+                      trace=buf, warmup_fraction=0.0, **kw)
     report = sim.run()
     return sim, report, buf.getvalue().splitlines()
+
+
+def request_paths(trace: Sequence[str]) -> List[Tuple[Tuple[str, ...], Tuple[str, ...]]]:
+    """(Interest path, Data path) for each Interest a consumer hands its
+    router, read back from trace lines.  The Interest path is that router,
+    then each router an Interest is sent to; the Data path is each router
+    that sends a Data.  Valid only when requests do not overlap in time:
+    every packet of one request is traced before the next request starts."""
+    fields = [line.split() for line in trace]
+    routers = {f[1] for f in fields}  # consumers only ever appear as peers
+    out = []
+    for _, router, direction, kind, *_, peer in fields:
+        peer = peer[len("peer="):]
+        if direction == "RX" and kind == "INT" and peer not in routers:
+            out.append(([router], []))
+        elif direction == "TX" and kind == "INT":
+            out[-1][0].append(peer)
+        elif direction == "TX" and kind == "DATA":
+            out[-1][1].append(router)
+    return [(tuple(i), tuple(d)) for i, d in out]
 
 
 def _interest_budgets(trace: List[str]) -> List[int]:
@@ -122,8 +142,9 @@ def fig1_rankloop() -> ScenarioResult:
     sim, rep, trace = _simulate(topo, fibs, Scheme.DART,
                                 requests=[(0.0, "cons.y", OBJ)],
                                 consumers={"cons.y": "y"})
-    c.equal("interest path", rep.interest_paths, [("y", "a", "b", "q", "u", "z")])
-    c.equal("data path retraces it", rep.data_paths, [("z", "u", "q", "b", "a", "y")])
+    paths = request_paths(trace)
+    c.equal("interest path", [i for i, _ in paths], [("y", "a", "b", "q", "u", "z")])
+    c.equal("data path retraces it", [d for _, d in paths], [("z", "u", "q", "b", "a", "y")])
     c.equal("hop budgets shrink 5..1", _interest_budgets(trace), [5, 4, 3, 2, 1])
     c.equal("delivered", rep.delivered, 1)
     c.equal("no loop nacks", rep.loop_nacks, 0)

@@ -11,6 +11,7 @@ number past one of them, that is a behaviour change worth explaining, not a
 tolerance to widen.
 """
 
+import json
 import random
 from statistics import fmean
 
@@ -24,7 +25,7 @@ from dartlab.experiment import (ExperimentConfig, build_catalog, build_topology,
 from dartlab.model import Name, Prefix
 from dartlab.routing import (Topology, compute_fibs, inject_stale_distances,
                              override_rankings)
-from dartlab.scenarios import run_scenario
+from dartlab.scenarios import request_paths, run_scenario
 
 RATES = (10.0, 50.0, 100.0, 200.0)
 LOW, TOP = RATES[0], RATES[-1]
@@ -332,7 +333,8 @@ def test_fib_distances_match_bfs_on_all_small_graphs():
                     assert tuples[0].distance == oracle[node], (node, tuples)
 
 
-def test_response_retraces_request_on_all_small_graphs():
+def test_response_retraces_request_on_all_small_graphs(tmp_path):
+    trace = tmp_path / "trace.txt"
     for g in _atlas_graphs():
         ids = {node: f"v{node}" for node in g.nodes()}
         links = {tuple(sorted((ids[u], ids[v]))): 10.0 for u, v in g.edges()}
@@ -343,13 +345,15 @@ def test_response_retraces_request_on_all_small_graphs():
             for consumer in sorted(ids.values()):
                 rep = run(topo, fibs, "dart", "none",
                           requests=[(0.0, f"c.{consumer}", OBJ)],
-                          catalog=[OBJ], audits=True, collect_paths=True,
+                          catalog=[OBJ], audits=True, trace_path=str(trace),
                           warmup_fraction=0.0, duration_ms=1000.0)
                 assert rep.delivered == 1, (anchor, consumer)
-                assert len(rep.interest_paths) == 1
-                assert rep.interest_paths[0][0] == consumer
-                assert rep.interest_paths[0][-1] == ids[anchor]
-                assert rep.data_paths == [tuple(reversed(rep.interest_paths[0]))]
+                paths = request_paths(trace.read_text().splitlines())
+                assert len(paths) == 1
+                interest = paths[0][0]
+                assert interest[0] == consumer
+                assert interest[-1] == ids[anchor]
+                assert [d for _, d in paths] == [tuple(reversed(interest))]
 
 
 # ---------------------------------------------------------------------------
@@ -378,15 +382,16 @@ retry_timeout_s = 2
 def test_experiment_reruns_are_byte_identical(tmp_path):
     cfg_path = tmp_path / "exp.cfg"
     cfg_path.write_text(RERUN_CONFIG)
-    dirs = []
-    for d in ("a", "b"):
-        out = tmp_path / d
-        assert cli_main(["run", str(cfg_path), "--out", str(out)]) == 0
-        dirs.append(out)
-    first, second = dirs
+    first, second = tmp_path / "a", tmp_path / "b"
+    assert cli_main(["run", str(cfg_path), "--out", str(first)]) == 0
+    # the worker count must not change a byte of the cell output
+    assert cli_main(["run", str(cfg_path), "--out", str(second), "--workers", "2"]) == 0
     names = sorted(p.name for p in first.iterdir())
     assert names == sorted(p.name for p in second.iterdir())
     assert any(n.endswith(".csv") for n in names)
-    assert "manifest.json" in names
     for name in names:
-        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+        if name != "manifest.json":
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
+    manifests = [json.loads((d / "manifest.json").read_text()) for d in (first, second)]
+    assert [m["parameters"].pop("workers") for m in manifests] == [1, 2]
+    assert manifests[0] == manifests[1]

@@ -72,13 +72,17 @@ def test_exit_codes_for_config_problems(tmp_path, capsys):
     bad = write_cfg(tmp_path, "nodes = many\n")
     assert cli.main(["run", bad, "--out", str(tmp_path / "x")]) == 1
     assert "config error" in capsys.readouterr().err
+    good = write_cfg(tmp_path)
+    assert cli.main(["run", good, "--out", str(tmp_path / "x"), "--workers", "0"]) == 1
+    assert "workers must be >= 1" in capsys.readouterr().err
     assert cli.main(["compare", str(tmp_path)]) == 1  # no CSVs yet
     assert cli.main(["scenario", "unknown-name"]) == 1
     assert cli.main(["not-a-command"]) == 1
     assert cli.main(["--help"]) == 0
 
 
-@pytest.mark.parametrize("line", ["sweep_interval_s = -1", "sample_interval_ms = -5"])
+@pytest.mark.parametrize("line", ["sweep_interval_s = -1", "sample_interval_ms = -5",
+                                  "duration_s = 0"])
 def test_negative_timer_interval_exits_1_instead_of_hanging(tmp_path, line):
     # a negative period used to re-arm its timer in the past, looping forever
     cfg = write_cfg(tmp_path, CFG + line + "\n")
@@ -88,6 +92,7 @@ def test_negative_timer_interval_exits_1_instead_of_hanging(tmp_path, line):
                           capture_output=True, text=True, timeout=60, env=env)
     assert done.returncode == 1, done.stderr
     assert f"config error: {line.split()[0]} must be > 0" in done.stderr
+    assert "Traceback" not in done.stderr
 
 
 def test_compare_exit_code_reports_missing_counterparts(tmp_path, capsys):

@@ -28,7 +28,8 @@ from dartlab.model import (
     Prefix,
 )
 from dartlab.ndn_node import NdnRouter
-from dartlab.routing import Topology, compute_fibs, generate_topology, override_rankings
+from dartlab.routing import Topology, compute_fibs, generate_topology
+from dartlab.scenarios import request_paths
 
 P = Prefix.parse("/p")
 
@@ -196,41 +197,43 @@ def test_warmup_gates_delay_samples():
     assert rep.delay_count["a"] == 1  # only the post-warmup issue is sampled
 
 
-def test_fib_edit_changes_forwarding_mid_run():
-    topo = Topology(("a", "b", "z"),
-                    {("a", "b"): 10.0, ("a", "z"): 10.0, ("b", "z"): 10.0},
-                    {P: ("z",)})
-    fibs = compute_fibs(topo)
-    detour = override_rankings(fibs, "a", P, ["b", "z"])
-    rep = run(topo, fibs, "dart", "none",
-              requests=[(0.0, "c.a", Name.parse("/p/0")),
-                        (500.0, "c.a", Name.parse("/p/1"))],
-              consumers={"c.a": "a"}, catalog=catalog(2), duration_ms=1000.0,
-              fib_edits=[(250.0, "a", detour["a"])], collect_paths=True)
-    assert rep.interest_paths == [("a", "z"), ("a", "b", "z")]
-    assert rep.data_paths == [("z", "a"), ("z", "b", "a")]
+def traced_paths(tmp_path, *args, **kw):
+    """Run one cell with a trace; return its report and request_paths."""
+    path = tmp_path / "trace.txt"
+    rep = run(*args, trace_path=str(path), **kw)
+    return rep, request_paths(path.read_text().splitlines())
 
 
 @pytest.mark.parametrize("scheme", ["dart", "ndn"])
-def test_collected_paths_are_symmetric(scheme):
+def test_collected_paths_are_symmetric(scheme, tmp_path):
     topo, fibs = line_topology(4)
-    rep = run(topo, fibs, scheme, "none",
-              requests=[(0.0, "c.a", Name.parse("/p/0"))],
-              consumers={"c.a": "a"}, catalog=catalog(), duration_ms=1000.0,
-              collect_paths=True)
-    assert rep.interest_paths == [("a", "b", "c", "d")]
-    assert rep.data_paths == [("d", "c", "b", "a")]
+    rep, paths = traced_paths(tmp_path, topo, fibs, scheme, "none",
+                              requests=[(0.0, "c.a", Name.parse("/p/0"))],
+                              consumers={"c.a": "a"}, catalog=catalog(),
+                              duration_ms=1000.0)
+    assert [i for i, _ in paths] == [("a", "b", "c", "d")]
+    assert [d for _, d in paths] == [("d", "c", "b", "a")]
 
 
-def test_cache_hit_path_is_local():
+def test_cache_hit_path_is_local(tmp_path):
     topo, fibs = line_topology(4)
     reqs = [(0.0, "c.a", Name.parse("/p/0")), (500.0, "c.a", Name.parse("/p/0"))]
-    rep = run(topo, fibs, "dart", "edge", requests=reqs,
-              consumers={"c.a": "a"}, catalog=catalog(), duration_ms=1000.0,
-              collect_paths=True)
-    assert rep.interest_paths == [("a", "b", "c", "d"), ("a",)]
-    assert rep.data_paths == [("d", "c", "b", "a"), ("a",)]
+    rep, paths = traced_paths(tmp_path, topo, fibs, "dart", "edge", requests=reqs,
+                              consumers={"c.a": "a"}, catalog=catalog(),
+                              duration_ms=1000.0)
+    assert [i for i, _ in paths] == [("a", "b", "c", "d"), ("a",)]
+    assert [d for _, d in paths] == [("d", "c", "b", "a"), ("a",)]
     assert rep.delivered == 2
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("key", ["sweep_interval_ms", "sample_interval_ms",
+                                 "retry_timeout_ms"])
+def test_non_positive_timers_are_rejected(key, value):
+    # a non-positive period re-armed its timer forever; a zero retry timeout
+    # left requests open that were never delivered or abandoned
+    with pytest.raises(ValueError, match=f"{key} must be > 0"):
+        scripted_sim(**{key: value})
 
 
 def test_determinism_of_reports():

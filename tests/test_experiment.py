@@ -61,6 +61,32 @@ def test_parse_config_defaults_and_overrides():
     ("audit = maybe", "bad value for audit"),
     ("sweep_interval_s = 0", "sweep_interval_s must be > 0"),
     ("sample_interval_ms = 0", "sample_interval_ms must be > 0"),
+    ("nodes = 0", "nodes must be >= 1"),
+    ("producers = -1", "producers must be >= 0"),
+    ("link_delay_ms = 0", "link_delay_ms must be > 0"),
+    ("duration_s = 0", "duration_s must be > 0"),
+    ("rates = 10, -1", "rates must be > 0"),
+    ("rates = nan", "rates must be > 0"),
+    ("rates = inf", "rates must be > 0 and finite"),
+    ("duration_s = inf", "duration_s must be > 0 and finite"),
+    ("dart_ttl_s = -1", "dart_ttl_s must be > 0"),
+    ("pit_lifetime_s = 0", "pit_lifetime_s must be > 0"),
+    ("retry_timeout_s = nan", "retry_timeout_s must be > 0"),
+    ("catalog = 0", "catalog must be >= 1"),
+    ("max_tries = 0", "max_tries must be >= 1"),
+    ("zipf_alpha = nan", "zipf_alpha must be finite"),
+    ("zipf_alpha = inf", "zipf_alpha must be finite"),
+    ("zipf_alpha = -0.5", "zipf_alpha must be finite and >= 0"),
+    ("warmup_frac = 1.5", r"warmup_frac must be in \[0, 1\)"),
+    ("warmup_frac = 1", r"warmup_frac must be in \[0, 1\)"),
+    ("warmup_frac = -0.1", r"warmup_frac must be in \[0, 1\)"),
+    ("store_capacity = -1", "store_capacity must be >= 0"),
+    ("workers = 0", "workers must be >= 1"),
+    ("schemes = dart, dart", "schemes must be non-empty and free of duplicates"),
+    ("caching = edge, edge", "caching must be non-empty and free of duplicates"),
+    ("rates = 10, 10.0", "rates must be non-empty and free of duplicates"),
+    ("seeds = 1, 1", "seeds must be non-empty and free of duplicates"),
+    ("rates = ,", "rates must be non-empty"),
 ])
 def test_parse_config_rejects(bad, frag):
     with pytest.raises(ConfigError, match=frag):
