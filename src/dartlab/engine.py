@@ -108,7 +108,9 @@ def _consumer_stream(spec: WorkloadSpec, consumer: str, cum: List[float]):
 
 def generate_workload(spec: WorkloadSpec, consumers: Sequence[str]):
     """Time-ordered stream of (time_ms, consumer, object_index) across all
-    consumers; fully determined by spec.seed."""
+    consumers; fully determined by spec.seed.  This is the reference
+    definition of a run's requests: the engine feeds each consumer's stream
+    into its event heap directly and dispatches this same sequence."""
     cum = zipf_cumulative(spec.zipf_alpha, spec.catalog_size)
     return heapq.merge(*(_consumer_stream(spec, c, cum) for c in sorted(consumers)))
 
@@ -219,6 +221,11 @@ def _trace_fields(msg) -> str:
     return f"name={_esc_name(msg.name)} h=- dart={d}"
 
 
+def _trace_line(now: float, router: str, direction: str, msg, peer: str) -> str:
+    return (f"t={now!r} {router} {direction} {_MSG_KIND[type(msg)]} "
+            f"{_trace_fields(msg)} peer={peer}")
+
+
 class _Simulation:
     def __init__(self, topology: Topology, fibs: Dict[str, Fib], scheme: Scheme,
                  caching_mode: CachingMode, *, workload=None, requests=None,
@@ -239,7 +246,6 @@ class _Simulation:
                            ("retry_timeout_ms", retry_timeout_ms)):
             if not value > 0:
                 raise ValueError(f"{key} must be > 0, got {value}")
-        self.topology = topology
         self.scheme = scheme
         self.caching_mode = caching_mode
         self.catalog: List[Name] = list(catalog)
@@ -248,6 +254,9 @@ class _Simulation:
         self.sweep_interval_ms = sweep_interval_ms
         self.sample_interval_ms = sample_interval_ms
         self.trace = trace
+        # one-way link delay per (router, neighbour)
+        self.delays = {r: {n: topology.delay(r, n) for n in topology.neighbors[r]}
+                       for r in topology.routers}
 
         if consumers is None:
             consumers = {f"c.{r}": r for r in topology.routers}
@@ -282,19 +291,24 @@ class _Simulation:
             self._nonce_rng = {r: random.Random(f"nonce:{workload_seed}:{r}")
                                for r in topology.routers}
 
-        # event plumbing
-        self.heap: List[tuple] = []
-        self._seq = 0
-        self.workload_iter = None
+        # Initial events as (time, kind, data).  A workload request carries
+        # its consumer's stream: the loop pulls that consumer's next request
+        # when it pops this one, so each consumer has at most one pending.
+        events = []
         last_request_ms = 0.0
         if workload is not None:
-            self.workload_iter = generate_workload(workload, sorted(self.consumer_router))
-            self._pull_workload()
+            cum = zipf_cumulative(workload.zipf_alpha, workload.catalog_size)
+            for consumer in sorted(self.consumer_router):
+                stream = _consumer_stream(workload, consumer, cum)
+                first = next(stream, None)
+                if first is not None:
+                    events.append((first[0], _REQUEST,
+                                   (consumer, self.catalog[first[2]], stream)))
         elif requests:
             for (t, consumer, name) in requests:
                 if consumer not in self.consumer_router:
                     raise ValueError(f"unknown consumer in script: {consumer}")
-                self._push(t, _REQUEST, (consumer, name))
+                events.append((t, _REQUEST, (consumer, name, None)))
                 last_request_ms = max(last_request_ms, t)
 
         if duration_ms is not None:
@@ -306,10 +320,16 @@ class _Simulation:
         self.warmup_ms = self.horizon_ms * warmup_fraction
 
         if sweep_interval_ms <= self.horizon_ms:
-            self._push(sweep_interval_ms, _SWEEP, None)
+            events.append((sweep_interval_ms, _SWEEP, None))
         first_sample = self.warmup_ms + sample_interval_ms
         if first_sample <= self.horizon_ms:
-            self._push(first_sample, _SAMPLE, None)
+            events.append((first_sample, _SAMPLE, None))
+        # Heap entries are (time, seq, kind, data): seq breaks time ties in
+        # push order, and _seq counts every event pushed.
+        self.heap: List[tuple] = [(t, seq, kind, data)
+                                  for seq, (t, kind, data) in enumerate(events, 1)]
+        heapq.heapify(self.heap)
+        self._seq = len(self.heap)
 
         self.audit = bool(audits) and scheme is Scheme.DART
         self.recent: deque = deque(maxlen=256)
@@ -325,7 +345,6 @@ class _Simulation:
         self.delay_sum = {r: 0.0 for r in rl}
         self.delay_count = {r: 0 for r in rl}
         self.open: Dict[tuple, _OpenRequest] = {}
-        self._next_token = 0
         self.requests = 0
         self.delivered = 0
         self.nacked = 0
@@ -333,159 +352,21 @@ class _Simulation:
         self.retries = 0
         self.nacked_by_code: Dict[str, int] = {}
 
-    # -- plumbing ------------------------------------------------------------
-
-    def _push(self, t: float, kind: int, data):
-        self._seq += 1
-        heapq.heappush(self.heap, (t, self._seq, kind, data))
-
-    def _pull_workload(self):
-        nxt = next(self.workload_iter, None)
-        if nxt is not None:
-            t, consumer, idx = nxt
-            self._push(t, _REQUEST, (consumer, self.catalog[idx]))
-
-    def _tline(self, now, router, d, kind, msg, peer):
-        self.trace.write(f"t={now!r} {router} {d} {kind} {_trace_fields(msg)} peer={peer}\n")
-
     def _recent_lines(self) -> List[str]:
-        return [f"t={t!r} {dst} RX {_MSG_KIND[type(m)]} {_trace_fields(m)} peer={src}"
-                for (t, src, dst, m) in self.recent]
+        return [_trace_line(t, dst, "RX", m, src) for (t, src, dst, m) in self.recent]
 
-    # -- consumer side ---------------------------------------------------------
+    # -- timers: each returns when it fires next ---------------------------
 
-    def _local_ask(self, now: float, consumer: str, name: Name):
-        r = self.consumer_router[consumer]
-        self.interests_received[r] += 1
-        node = self.routers[r]
-        if self.scheme is Scheme.DART:
-            if self.trace:
-                self._tline(now, r, "RX", "INT", Interest(name), consumer)
-            ems = node.on_local_interest(consumer, name, now)
-        else:
-            msg = NdnInterest(name, self._nonce_rng[r].getrandbits(64))
-            if self.trace:
-                self._tline(now, r, "RX", "INT", msg, consumer)
-            ems = node.on_interest(consumer, msg, now)
-        self._process_emissions(now, r, ems, None, ())
-
-    def _consumer_receive(self, now: float, consumer: str, msg):
-        key = (consumer, msg.name)
-        rec = self.open.get(key)
-        if rec is None:
-            return
-        if type(msg) is DataPacket:
-            warm = self.warmup_ms
-            r = self.consumer_router[consumer]
-            for t0 in rec.issues:
-                self.delivered += 1
-                if t0 >= warm:
-                    self.delay_sum[r] += now - t0
-                    self.delay_count[r] += 1
-            del self.open[key]
-        else:
-            n = len(rec.issues)
-            self.nacked += n
-            code = msg.code.value
-            self.nacked_by_code[code] = self.nacked_by_code.get(code, 0) + n
-            del self.open[key]
-
-    def _request(self, now: float, consumer: str, name: Name):
-        self.requests += 1
-        if self.workload_iter is not None:
-            self._pull_workload()
-        key = (consumer, name)
-        rec = self.open.get(key)
-        if rec is not None:
-            # same consumer re-asks while the first fetch is in flight: ride it
-            rec.issues.append(now)
-            return
-        self._next_token += 1
-        self.open[key] = _OpenRequest(self._next_token, now)
-        self._local_ask(now, consumer, name)
-        if key in self.open:
-            self._push(now + self.retry_timeout_ms, _RETRY, (consumer, name, self._next_token))
-
-    def _retry(self, now: float, consumer: str, name: Name, token: int):
-        key = (consumer, name)
-        rec = self.open.get(key)
-        if rec is None or rec.token != token:
-            return
-        if rec.attempt >= self.max_tries:
-            self.abandoned += len(rec.issues)
-            del self.open[key]
-            return
-        rec.attempt += 1
-        self.retries += 1
-        self._local_ask(now, consumer, name)
-        if key in self.open:
-            self._push(now + self.retry_timeout_ms, _RETRY, (consumer, name, token))
-
-    # -- network side ----------------------------------------------------------
-
-    def _process_emissions(self, now: float, src: str, ems, in_msg, in_chain):
-        """Route a handler's emissions: consumer deliveries happen now (the
-        consumer sits on its router); neighbour messages ride the link.  Only
-        audited DART Interests carry a forward chain; all else carries ()."""
-        consumer_router = self.consumer_router
-        for dst, m in ems:
-            mt = type(m)
-            if dst in consumer_router:
-                if self.trace:
-                    self._tline(now, src, "TX", _MSG_KIND[mt], m, dst)
-                self._consumer_receive(now, dst, m)
-                continue
-            chain = ()
-            if self.audit and mt is Interest:
-                if type(in_msg) is Interest:
-                    if src in in_chain:
-                        raise AuditError("path-acyclicity", src, m,
-                                         in_chain, self._recent_lines())
-                    if m.hop_count >= in_msg.hop_count:
-                        raise AuditError("hop-count-descent", src, m,
-                                         in_chain, self._recent_lines())
-                    chain = in_chain + (src,)
-                else:
-                    chain = (src,)
-            if self.trace:
-                self._tline(now, src, "TX", _MSG_KIND[mt], m, dst)
-            self._push(now + self.topology.delay(src, dst), _DELIVER, (dst, src, m, chain))
-
-    def _deliver(self, now: float, dst: str, src: str, msg, chain):
-        mt = type(msg)
-        node = self.routers[dst]
-        if self.audit:
-            self.recent.append((now, src, dst, msg))
-        if mt is Interest:
-            self.interests_received[dst] += 1
-            ems = node.on_neighbor_interest(src, msg, now)
-        elif mt is NdnInterest:
-            self.interests_received[dst] += 1
-            ems = node.on_interest(src, msg, now)
-        elif mt is DataPacket:
-            ems = node.on_data(src, msg, now)
-        else:
-            ems = node.on_nack(src, msg, now)
-        if self.trace:
-            # handlers return None exactly when they drop the packet
-            self._tline(now, dst, "RX" if ems is not None else "DROP", _MSG_KIND[mt], msg, src)
-        if ems:
-            self._process_emissions(now, dst, ems, msg, chain)
-
-    # -- timers ------------------------------------------------------------
-
-    def _sweep(self, now: float):
+    def _sweep(self, now: float) -> float:
         if self.scheme is Scheme.DART:
             for r in self.router_list:
                 self.routers[r].evict_darts(now)
         else:
             for r in self.router_list:
                 self.routers[r].expire_pit(now)
-        nxt = now + self.sweep_interval_ms
-        if nxt <= self.horizon_ms:
-            self._push(nxt, _SWEEP, None)
+        return now + self.sweep_interval_ms
 
-    def _sample(self, now: float):
+    def _sample(self, now: float) -> float:
         sizes = sample_table_sizes(self.routers)
         self.sample_count += 1
         dart = self.scheme is Scheme.DART
@@ -496,27 +377,153 @@ class _Simulation:
                 self.size_max[r] = n
             if dart:
                 self.pending_sum[r] += sizes[r][1]
-        nxt = now + self.sample_interval_ms
-        if nxt <= self.horizon_ms:
-            self._push(nxt, _SAMPLE, None)
+        return now + self.sample_interval_ms
 
     # -- main loop ----------------------------------------------------------
 
     def run(self) -> MetricsReport:
-        heap = self.heap
-        pop = heapq.heappop
-        while heap:
-            now, _, kind, data = pop(heap)
-            if kind == _DELIVER:
-                self._deliver(now, data[0], data[1], data[2], data[3])
-            elif kind == _REQUEST:
-                self._request(now, data[0], data[1])
-            elif kind == _RETRY:
-                self._retry(now, data[0], data[1], data[2])
-            elif kind == _SAMPLE:
-                self._sample(now)
-            else:
-                self._sweep(now)
+        """The event loop.  Delivery, the request path and emission routing
+        (consumer hand-off, audits, trace lines, link delays) are inlined,
+        and the state they touch is held in locals.  Handlers are bound
+        from ``self.routers`` here, not at construction, so a router or
+        handler swapped in before ``run`` is the one called."""
+        heap, pop, push = self.heap, heapq.heappop, heapq.heappush
+        dart = self.scheme is Scheme.DART
+        interest_type = Interest if dart else NdnInterest
+        handlers = {r: {interest_type: node.on_neighbor_interest if dart else node.on_interest,
+                        DataPacket: node.on_data, Nack: node.on_nack}
+                    for r, node in self.routers.items()}
+        local_ask = {r: node.on_local_interest if dart else node.on_interest
+                     for r, node in self.routers.items()}
+        nonce_bits = {} if dart else {r: g.getrandbits for r, g in self._nonce_rng.items()}
+        consumer_router, delays, catalog = self.consumer_router, self.delays, self.catalog
+        open_requests, received = self.open, self.interests_received
+        delay_sum, delay_count, nacked_by_code = self.delay_sum, self.delay_count, self.nacked_by_code
+        warm, horizon = self.warmup_ms, self.horizon_ms
+        retry_timeout, max_tries = self.retry_timeout_ms, self.max_tries
+        audit, remember = self.audit, self.recent.append
+        write = self.trace.write if self.trace else None
+        seq, token = self._seq, 0
+        requests, delivered, nacked = self.requests, self.delivered, self.nacked
+        abandoned, retries = self.abandoned, self.retries
+        try:
+            while heap:
+                now, _, kind, data = pop(heap)
+                if kind == _DELIVER:
+                    here, sender, in_msg, in_chain = data
+                    mt = type(in_msg)
+                    if audit:
+                        remember((now, sender, here, in_msg))
+                    if mt is interest_type:
+                        received[here] += 1
+                    ems = handlers[here][mt](sender, in_msg, now)
+                    if write is not None:
+                        # handlers return None exactly when they drop the packet
+                        write(_trace_line(now, here, "RX" if ems is not None else "DROP",
+                                          in_msg, sender) + "\n")
+                    if not ems:
+                        continue
+                    retry = None
+                else:
+                    if kind == _REQUEST:
+                        consumer, name, stream = data
+                        if stream is not None:
+                            nxt = next(stream, None)
+                            if nxt is not None:
+                                seq += 1
+                                push(heap, (nxt[0], seq, _REQUEST,
+                                            (consumer, catalog[nxt[2]], stream)))
+                        requests += 1
+                        key = (consumer, name)
+                        rec = open_requests.get(key)
+                        if rec is not None:
+                            # same consumer re-asks while the first fetch is in flight: ride it
+                            rec.issues.append(now)
+                            continue
+                        token += 1
+                        open_requests[key] = _OpenRequest(token, now)
+                        retry = (consumer, name, token)
+                    elif kind == _RETRY:
+                        consumer, name, retry_token = data
+                        key = (consumer, name)
+                        rec = open_requests.get(key)
+                        if rec is None or rec.token != retry_token:
+                            continue
+                        if rec.attempt >= max_tries:
+                            abandoned += len(rec.issues)
+                            del open_requests[key]
+                            continue
+                        rec.attempt += 1
+                        retries += 1
+                        retry = data
+                    else:
+                        due = self._sample(now) if kind == _SAMPLE else self._sweep(now)
+                        if due <= horizon:
+                            seq += 1
+                            push(heap, (due, seq, kind, None))
+                        continue
+                    # the consumer's Interest reaches its router at once
+                    here = consumer_router[consumer]
+                    received[here] += 1
+                    if dart:
+                        if write is not None:
+                            write(_trace_line(now, here, "RX", Interest(name), consumer) + "\n")
+                        ems = local_ask[here](consumer, name, now)
+                    else:
+                        ask = NdnInterest(name, nonce_bits[here](64))
+                        if write is not None:
+                            write(_trace_line(now, here, "RX", ask, consumer) + "\n")
+                        ems = local_ask[here](consumer, ask, now)
+                    in_msg, in_chain = None, ()
+
+                # Emission routing: a consumer sits on its router and gets its
+                # packet now; a neighbour gets it after the link delay.  Only
+                # audited DART Interests carry a forward chain; all else ().
+                for dst, m in ems:
+                    mt = type(m)
+                    if dst in consumer_router:
+                        if write is not None:
+                            write(_trace_line(now, here, "TX", m, dst) + "\n")
+                        rec = open_requests.pop((dst, m.name), None)
+                        if rec is None:
+                            continue
+                        if mt is DataPacket:
+                            r = consumer_router[dst]
+                            for t0 in rec.issues:
+                                delivered += 1
+                                if t0 >= warm:
+                                    delay_sum[r] += now - t0
+                                    delay_count[r] += 1
+                        else:
+                            n = len(rec.issues)
+                            nacked += n
+                            code = m.code.value
+                            nacked_by_code[code] = nacked_by_code.get(code, 0) + n
+                        continue
+                    chain = ()
+                    if audit and mt is Interest:
+                        if type(in_msg) is Interest:
+                            if here in in_chain:
+                                raise AuditError("path-acyclicity", here, m,
+                                                 in_chain, self._recent_lines())
+                            if m.hop_count >= in_msg.hop_count:
+                                raise AuditError("hop-count-descent", here, m,
+                                                 in_chain, self._recent_lines())
+                            chain = in_chain + (here,)
+                        else:
+                            chain = (here,)
+                    if write is not None:
+                        write(_trace_line(now, here, "TX", m, dst) + "\n")
+                    seq += 1
+                    push(heap, (now + delays[here][dst], seq, _DELIVER, (dst, here, m, chain)))
+
+                if retry is not None and key in open_requests:
+                    seq += 1
+                    push(heap, (now + retry_timeout, seq, _RETRY, retry))
+        finally:
+            self._seq = seq
+            self.requests, self.delivered, self.nacked = requests, delivered, nacked
+            self.abandoned, self.retries = abandoned, retries
         return self._report()
 
     def _report(self) -> MetricsReport:

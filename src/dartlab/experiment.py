@@ -79,6 +79,11 @@ class ExperimentConfig:
         need(0 <= self.warmup_frac < 1, "warmup_frac", "in [0, 1)")
         need(self.store_capacity >= 0, "store_capacity", ">= 0")
         need(self.workers >= 1, "workers", ">= 1")
+        # the engine's first-sample test: a cell that takes no sample reports
+        # every table size as 0
+        horizon_ms = self.duration_s * 1000.0
+        need(horizon_ms * self.warmup_frac + self.sample_interval_ms <= horizon_ms,
+             "sample_interval_ms", "<= duration_s * 1000 * (1 - warmup_frac)")
         for key in ("schemes", "caching", "rates", "seeds"):
             need(0 < len(set(getattr(self, key))) == len(getattr(self, key)), key,
                  "non-empty and free of duplicates")

@@ -88,6 +88,28 @@ def test_workload_is_merged_in_time_order_and_deterministic():
     assert {c for (_, c, _) in a} == {"c1", "c2", "c3"}
 
 
+@pytest.mark.parametrize("scheme", ["dart", "ndn"])
+def test_engine_dispatches_exactly_the_generated_workload(scheme, tmp_path):
+    # One router anchors everything, so each request is a store hit answered
+    # at once: none rides an open one, and each shows as one RX line.
+    topo = Topology(("a",), {}, {P: ("a",)})
+    consumers = {c: "a" for c in ("c3", "c1", "c2")}
+    spec = WorkloadSpec(0.7, 20, per_router_rate=40.0, duration=3.0, seed="stream")
+    names = catalog(20)
+    path = tmp_path / "trace.txt"
+    rep = run(topo, compute_fibs(topo), scheme, "none", workload=spec,
+              consumers=consumers, catalog=names, trace_path=str(path))
+    asked = []
+    for line in path.read_text().splitlines():
+        t, router, direction, kind, name, _, _, peer = line.split(" ")
+        if direction == "RX" and peer.startswith("peer=c"):
+            asked.append((float(t[2:]), peer[5:], Name.parse(name[5:])))
+    expected = [(t, c, names[idx]) for (t, c, idx) in generate_workload(spec, consumers)]
+    assert len(expected) > 300
+    assert asked == expected
+    assert rep.requests == rep.delivered == len(expected)
+
+
 def test_workload_spec_validation():
     with pytest.raises(ValueError):
         WorkloadSpec(-0.1, 10, 1.0, 1.0)

@@ -1,9 +1,12 @@
 import filecmp
 import json
 import pickle
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dartlab.experiment import (
     ConfigError,
@@ -50,6 +53,8 @@ def test_parse_config_defaults_and_overrides():
     assert cfg.rates == (20.0,) and cfg.seeds == (1,)
     assert cfg.audit is True  # untouched default
     assert parse_config("").nodes == 50  # all defaults
+    # the first sample may land exactly on the end of the run
+    assert parse_config("duration_s = 2\nsample_interval_ms = 1800").sample_interval_ms == 1800
 
 
 @pytest.mark.parametrize("bad,frag", [
@@ -87,10 +92,30 @@ def test_parse_config_defaults_and_overrides():
     ("rates = 10, 10.0", "rates must be non-empty and free of duplicates"),
     ("seeds = 1, 1", "seeds must be non-empty and free of duplicates"),
     ("rates = ,", "rates must be non-empty"),
+    ("duration_s = 2\nsample_interval_ms = 5000",
+     r"sample_interval_ms must be <= duration_s \* 1000 \* \(1 - warmup_frac\)"),
 ])
 def test_parse_config_rejects(bad, frag):
     with pytest.raises(ConfigError, match=frag):
         parse_config(bad)
+
+
+_KEYS = st.sampled_from([f.name for f in fields(ExperimentConfig)]) | st.text(max_size=8)
+_VALUES = (st.text(max_size=24) | st.integers().map(str) | st.floats().map(repr)
+           | st.lists(st.integers(-3, 300).map(str), max_size=4).map(", ".join))
+_LINES = st.lists(st.tuples(_KEYS, _VALUES).map(" = ".join), max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_LINES)
+def test_parse_config_never_escapes_with_another_exception(lines):
+    # a config is either accepted or refused with ConfigError (exit 1 with a
+    # message in the CLI), never a traceback
+    try:
+        cfg = parse_config("\n".join(lines))
+    except ConfigError:
+        return
+    assert isinstance(cfg, ExperimentConfig)
 
 
 def test_build_topology_and_catalog_round_robin():
