@@ -6,7 +6,9 @@ A DART router keeps state per *route in use*, not per in-flight interest:
   a shortest path toward an anchor.  Every interest, data and nack riding
   that route refreshes the entry; an idle timer reclaims it.
 * The response-correlation table (RCT) exists only at consumer-facing
-  routers and remembers which locally attached consumers wait for a name.
+  routers and maps each name a local consumer waits for to the set of
+  those consumers.  An entry lives from the first ask until its Data or
+  Nack comes back.
 
 An interest from a neighbour is only accepted if some admissible next hop is
 strictly closer to an anchor than the hop budget the interest carries and is
@@ -51,14 +53,6 @@ class DartEntry:
         self.last_used = last_used
 
 
-class RctEntry:
-    __slots__ = ("pending", "consumers")
-
-    def __init__(self):
-        self.pending = False
-        self.consumers: Set[str] = set()
-
-
 class DartRouter:
     def __init__(self, router_id: str, fib: Fib,
                  anchored_prefixes: Tuple[Prefix, ...] = (),
@@ -70,14 +64,13 @@ class DartRouter:
         self.anchored_prefixes = tuple(anchored_prefixes)
         self.caching_mode = caching_mode
         self.dart_ttl_ms = dart_ttl_ms
-        self.store = ContentStore(store_capacity, on_evict=self._content_evicted)
-        self.rct: Dict[Name, RctEntry] = {}
+        self.store = ContentStore(store_capacity)
+        self.rct: Dict[Name, Set[str]] = {}
         # every live entry appears in both indexes; origin legs also in _origin
         self.by_pred: Dict[Tuple[str, int], DartEntry] = {}
         self.by_succ: Dict[int, DartEntry] = {}
         self._origin: Dict[Tuple[str, str], DartEntry] = {}  # (anchor, successor)
         self._next_dart = 1
-        self.pending_names = 0
         self.aggregated_local = 0
         self.loop_nacks_sent = 0
         self.orphan_data = 0
@@ -124,13 +117,6 @@ class DartRouter:
     def preload(self, data: DataPacket):
         self.store.add_owned(data)
 
-    def _content_evicted(self, name: Name):
-        # keep the RCT honest: a satisfied entry whose content is gone again
-        # is just dead weight
-        e = self.rct.get(name)
-        if e is not None and not e.pending:
-            del self.rct[name]
-
     def _anchored(self, name: Name) -> bool:
         for p in self.anchored_prefixes:
             if p.matches(name):
@@ -162,17 +148,17 @@ class DartRouter:
     def on_local_interest(self, consumer: str, name: Name, now: float) -> List[Emission]:
         data = self.store.get(name)
         if data is not None:
-            return [Emission(consumer, DataPacket(name))]
-        entry = self.rct.get(name)
-        if entry is not None and entry.pending:
-            entry.consumers.add(consumer)
+            return [Emission((consumer, DataPacket(name)))]
+        waiting = self.rct.get(name)
+        if waiting is not None:
+            waiting.add(consumer)
             self.aggregated_local += 1
             return []
         if self._anchored(name):
-            return [Emission(consumer, Nack(name, NackCode.NO_CONTENT))]
+            return [Emission((consumer, Nack(name, NackCode.NO_CONTENT)))]
         tuples = self.fib.lookup(name)
         if not tuples:
-            return [Emission(consumer, Nack(name, NackCode.NO_ROUTE))]
+            return [Emission((consumer, Nack(name, NackCode.NO_ROUTE)))]
         t = tuples[0]  # origin trusts its best route; refusal happens downstream
         leg = self._origin.get((t.anchor, t.next_hop))
         if leg is None:
@@ -180,35 +166,31 @@ class DartRouter:
             leg = self._add_entry(DartEntry(t.anchor, self.router_id, sd,
                                             t.next_hop, sd, t.distance, now))
         leg.last_used = now
-        if entry is None:
-            entry = self.rct[name] = RctEntry()
-        entry.pending = True
-        entry.consumers.add(consumer)
-        self.pending_names += 1
-        return [Emission(leg.successor, Interest(name, leg.hop_count, leg.successor_dart))]
+        self.rct[name] = {consumer}
+        return [Emission((leg.successor, Interest(name, leg.hop_count, leg.successor_dart)))]
 
     def on_neighbor_interest(self, sender: str, interest: Interest, now: float) -> List[Emission]:
         name = interest.name
         data = self.store.get(name)
         if data is not None:
-            return [Emission(sender, DataPacket(name, interest.dart))]
+            return [Emission((sender, DataPacket(name, interest.dart)))]
         if self._anchored(name):
-            return [Emission(sender, Nack(name, NackCode.NO_CONTENT, interest.dart))]
+            return [Emission((sender, Nack(name, NackCode.NO_CONTENT, interest.dart)))]
         leg = self.by_pred.get((sender, interest.dart))
         if leg is not None:
             # route already vetted when the entry was created
             leg.last_used = now
-            return [Emission(leg.successor, Interest(name, leg.hop_count, leg.successor_dart))]
+            return [Emission((leg.successor, Interest(name, leg.hop_count, leg.successor_dart)))]
         if self.fib.lookup(name) is None:
-            return [Emission(sender, Nack(name, NackCode.NO_ROUTE, interest.dart))]
+            return [Emission((sender, Nack(name, NackCode.NO_ROUTE, interest.dart)))]
         t = self.dear_check(name, interest.hop_count, exclude=sender)
         if t is None:
             self.loop_nacks_sent += 1
-            return [Emission(sender, Nack(name, NackCode.LOOP, interest.dart))]
+            return [Emission((sender, Nack(name, NackCode.LOOP, interest.dart)))]
         sd = self.fresh_dart()
         leg = self._add_entry(DartEntry(t.anchor, sender, interest.dart,
                                         t.next_hop, sd, t.distance, now))
-        return [Emission(t.next_hop, Interest(name, t.distance, sd))]
+        return [Emission((t.next_hop, Interest(name, t.distance, sd)))]
 
     def on_data(self, sender: str, data: DataPacket, now: float) -> Optional[List[Emission]]:
         """None means the Data was dropped as an orphan: no live leg with its
@@ -220,20 +202,12 @@ class DartRouter:
         leg.last_used = now
         if leg.predecessor != self.router_id:
             self._maybe_cache(data, delivered_locally=False)
-            return [Emission(leg.predecessor, DataPacket(data.name, leg.predecessor_dart))]
-        entry = self.rct.get(data.name)
-        if entry is None or not entry.pending:
-            self._maybe_cache(data, delivered_locally=False)
+            return [Emission((leg.predecessor, DataPacket(data.name, leg.predecessor_dart)))]
+        waiting = self.rct.pop(data.name, None)
+        self._maybe_cache(data, delivered_locally=waiting is not None)
+        if waiting is None:
             return []
-        out = [Emission(c, DataPacket(data.name)) for c in sorted(entry.consumers)]
-        entry.pending = False
-        entry.consumers.clear()
-        self.pending_names -= 1
-        if self.caching_mode is CachingMode.NONE:
-            del self.rct[data.name]
-        else:
-            self._maybe_cache(data, delivered_locally=True)
-        return out
+        return [Emission((c, DataPacket(data.name))) for c in sorted(waiting)]
 
     def on_nack(self, sender: str, nack: Nack, now: float) -> Optional[List[Emission]]:
         """None means the Nack was dropped as an orphan, as in ``on_data``."""
@@ -243,12 +217,9 @@ class DartRouter:
             return None
         leg.last_used = now
         if leg.predecessor != self.router_id:
-            return [Emission(leg.predecessor,
-                             Nack(nack.name, nack.code, leg.predecessor_dart))]
-        entry = self.rct.get(nack.name)
-        if entry is None or not entry.pending:
+            return [Emission((leg.predecessor,
+                              Nack(nack.name, nack.code, leg.predecessor_dart)))]
+        waiting = self.rct.pop(nack.name, None)
+        if waiting is None:
             return []
-        out = [Emission(c, Nack(nack.name, nack.code)) for c in sorted(entry.consumers)]
-        del self.rct[nack.name]
-        self.pending_names -= 1
-        return out
+        return [Emission((c, Nack(nack.name, nack.code))) for c in sorted(waiting)]

@@ -14,6 +14,7 @@ plus the most recent deliveries as a counterexample.
 
 from __future__ import annotations
 
+import gc
 import heapq
 import math
 import random
@@ -93,16 +94,19 @@ def zipf_cumulative(alpha: float, size: int) -> List[float]:
 
 
 def _consumer_stream(spec: WorkloadSpec, consumer: str, cum: List[float]):
-    rng = random.Random(f"workload:{spec.seed}:{consumer}")
+    uniform = random.Random(f"workload:{spec.seed}:{consumer}").random
+    log = math.log
+    rate = spec.per_router_rate
     total = cum[-1]
     end = spec.duration * 1000.0
     last = spec.catalog_size - 1
     t = 0.0
     while True:
-        t += rng.expovariate(spec.per_router_rate) * 1000.0
+        # random.expovariate(rate), inlined: the same float operations
+        t += -log(1.0 - uniform()) / rate * 1000.0
         if t >= end:
             return
-        idx = bisect_right(cum, rng.random() * total)
+        idx = bisect_right(cum, uniform() * total)
         yield (t, consumer, idx if idx <= last else last)
 
 
@@ -117,11 +121,12 @@ def generate_workload(spec: WorkloadSpec, consumers: Sequence[str]):
 
 def sample_table_sizes(routers: Dict[str, object]) -> Dict[str, tuple]:
     """Forwarding-state size snapshot: (PIT entries,) for the baseline,
-    (dart entries incl. origin legs, pending RCT names) for DART."""
+    (dart entries incl. origin legs, RCT names) for DART.  Every RCT name
+    is pending: an entry is deleted when its Data or Nack comes back."""
     out = {}
     for rid, router in routers.items():
         if isinstance(router, DartRouter):
-            out[rid] = (router.table_size(), router.pending_names)
+            out[rid] = (router.table_size(), len(router.rct))
         else:
             out[rid] = (router.table_size(),)
     return out
@@ -386,8 +391,18 @@ class _Simulation:
         (consumer hand-off, audits, trace lines, link delays) are inlined,
         and the state they touch is held in locals.  Handlers are bound
         from ``self.routers`` here, not at construction, so a router or
-        handler swapped in before ``run`` is the one called."""
+        handler swapped in before ``run`` is the one called.
+
+        Cyclic garbage collection is off while the loop runs and is put
+        back as the caller had it on every exit.  The loop builds no
+        reference cycles, so refcounting frees everything it allocates and
+        a collection would only walk live objects."""
         heap, pop, push = self.heap, heapq.heappop, heapq.heappush
+        # Every retry timer waits retry_timeout from a non-decreasing now, so
+        # timers come due in the order they are armed: this FIFO holds them
+        # in (time, seq) order and the loop pops whichever head is smaller.
+        timers: deque = deque()
+        arm, fire = timers.append, timers.popleft
         dart = self.scheme is Scheme.DART
         interest_type = Interest if dart else NdnInterest
         handlers = {r: {interest_type: node.on_neighbor_interest if dart else node.on_interest,
@@ -406,9 +421,19 @@ class _Simulation:
         seq, token = self._seq, 0
         requests, delivered, nacked = self.requests, self.delivered, self.nacked
         abandoned, retries = self.abandoned, self.retries
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
         try:
-            while heap:
-                now, _, kind, data = pop(heap)
+            while True:
+                if timers:
+                    if heap and heap[0] < timers[0]:
+                        now, _, kind, data = pop(heap)
+                    else:
+                        now, _, kind, data = fire()
+                elif heap:
+                    now, _, kind, data = pop(heap)
+                else:
+                    break
                 if kind == _DELIVER:
                     here, sender, in_msg, in_chain = data
                     mt = type(in_msg)
@@ -519,8 +544,10 @@ class _Simulation:
 
                 if retry is not None and key in open_requests:
                     seq += 1
-                    push(heap, (now + retry_timeout, seq, _RETRY, retry))
+                    arm((now + retry_timeout, seq, _RETRY, retry))
         finally:
+            if gc_was_enabled:
+                gc.enable()
             self._seq = seq
             self.requests, self.delivered, self.nacked = requests, delivered, nacked
             self.abandoned, self.retries = abandoned, retries

@@ -10,7 +10,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, NamedTuple, Optional
+from operator import itemgetter
+from typing import Iterable, Optional
 from urllib.parse import quote
 
 
@@ -179,11 +180,15 @@ class NdnInterest:
     nonce: int
 
 
-class Emission(NamedTuple):
-    """A message a router wants sent to a neighbour (or local consumer)."""
+class Emission(tuple):
+    """A message a router wants sent to a neighbour (or local consumer),
+    built as ``Emission((dst, message))``.  A plain tuple subclass with no
+    Python-level ``__new__``, so building one on the hot path runs in C."""
 
-    dst: str
-    message: object
+    __slots__ = ()
+
+    dst = property(itemgetter(0))
+    message = property(itemgetter(1))
 
 
 # Name components are percent-escaped individually so a trace line stays
@@ -197,17 +202,13 @@ class ContentStore:
     """Owned content plus an LRU cache of passing data.
 
     Owned entries (the router is the object's anchor) never age out.  Cached
-    entries are bounded by ``capacity`` (None = unbounded) and evicted LRU;
-    ``on_evict`` lets the owning router patch any bookkeeping that pointed at
-    the evicted name.
+    entries are bounded by ``capacity`` (None = unbounded) and evicted LRU.
     """
 
-    def __init__(self, capacity: Optional[int] = None,
-                 on_evict: Optional[Callable[[Name], None]] = None):
+    def __init__(self, capacity: Optional[int] = None):
         self.capacity = capacity
         self.owned: dict[Name, DataPacket] = {}
         self.cached: "OrderedDict[Name, DataPacket]" = OrderedDict()
-        self.on_evict = on_evict
         self.evictions = 0
 
     def add_owned(self, data: DataPacket):
@@ -222,10 +223,8 @@ class ContentStore:
             return
         self.cached[name] = data
         if self.capacity is not None and len(self.cached) > self.capacity:
-            old, _ = self.cached.popitem(last=False)
+            self.cached.popitem(last=False)
             self.evictions += 1
-            if self.on_evict is not None:
-                self.on_evict(old)
 
     def get(self, name: Name) -> Optional[DataPacket]:
         d = self.owned.get(name)

@@ -75,11 +75,11 @@ class NdnRouter:
         name, nonce = interest.name, interest.nonce
         data = self.store.get(name)
         if data is not None:
-            return [Emission(sender, data)]
+            return [Emission((sender, data))]
         if nonce in self.seen_nonces:
             # the same interest came around again: classic duplicate kill
             self.loop_nacks_sent += 1
-            return [Emission(sender, Nack(name, NackCode.LOOP))]
+            return [Emission((sender, Nack(name, NackCode.LOOP)))]
         self.seen_nonces.add(nonce)
         entry = self.pit.get(name)
         if entry is not None:
@@ -87,7 +87,7 @@ class NdnRouter:
             self.aggregated += 1
             return []
         if self._anchored(name):
-            return [Emission(sender, Nack(name, NackCode.NO_CONTENT))]
+            return [Emission((sender, Nack(name, NackCode.NO_CONTENT)))]
         tuples = self.fib.lookup(name)
         nxt = None
         if tuples:
@@ -96,11 +96,11 @@ class NdnRouter:
                     nxt = t
                     break
         if nxt is None:
-            return [Emission(sender, Nack(name, NackCode.NO_ROUTE))]
+            return [Emission((sender, Nack(name, NackCode.NO_ROUTE)))]
         entry = PitEntry(now + self.pit_lifetime_ms)
         entry.in_records[nonce] = sender
         self.pit[name] = entry
-        return [Emission(nxt.next_hop, NdnInterest(name, nonce))]
+        return [Emission((nxt.next_hop, NdnInterest(name, nonce)))]
 
     def on_data(self, sender: str, data: DataPacket, now: float) -> Optional[List[Emission]]:
         """None means the Data was dropped: no PIT entry waits for it."""
@@ -109,7 +109,7 @@ class NdnRouter:
             self.orphan_data += 1
             return None
         # Data carries no per-hop state here, so the packet itself travels on
-        out = [Emission(iface, data) for iface in entry.in_records.values()]
+        out = [Emission((iface, data)) for iface in entry.in_records.values()]
         mode = self.caching_mode
         if mode is CachingMode.ON_PATH:
             self.store.cache(data)

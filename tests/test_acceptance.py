@@ -12,7 +12,10 @@ tolerance to widen.
 """
 
 import json
+import multiprocessing
+import os
 import random
+from concurrent.futures import ProcessPoolExecutor
 from statistics import fmean
 
 import networkx as nx
@@ -37,17 +40,24 @@ LOW, TOP = RATES[0], RATES[-1]
 
 @pytest.fixture(scope="module")
 def grid():
-    """(scheme, caching, rate) -> list of per-seed MetricsReport."""
+    """(scheme, caching, rate) -> list of per-seed MetricsReport.  The cells
+    run in a process pool with one worker per CPU; a report does not depend
+    on which worker ran it (test_experiment_reruns_are_byte_identical)."""
     cfg = ExperimentConfig()
     topo = build_topology(cfg)
     fibs = compute_fibs(topo)
     catalog = build_catalog(cfg, topo)
-    out = {}
-    for scheme, caching, rate, seed in cfg.cells():
-        wl = WorkloadSpec(cfg.zipf_alpha, cfg.catalog, rate, cfg.duration_s, seed)
-        rep = run(topo, fibs, scheme, caching, workload=wl, catalog=catalog,
-                  **engine_options(cfg))
-        out.setdefault((scheme, caching, rate), []).append(rep)
+    with ProcessPoolExecutor(max_workers=os.cpu_count(),
+                             mp_context=multiprocessing.get_context("spawn")) as pool:
+        futures = []
+        for scheme, caching, rate, seed in cfg.cells():
+            wl = WorkloadSpec(cfg.zipf_alpha, cfg.catalog, rate, cfg.duration_s, seed)
+            futures.append(((scheme, caching, rate),
+                            pool.submit(run, topo, fibs, scheme, caching, workload=wl,
+                                        catalog=catalog, **engine_options(cfg))))
+        out = {}
+        for key, future in futures:
+            out.setdefault(key, []).append(future.result())
     return out
 
 

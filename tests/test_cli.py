@@ -1,10 +1,15 @@
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dartlab import cli
 from dartlab.engine import AuditError
@@ -131,3 +136,65 @@ def test_scenario_failure_maps_to_exit_3(monkeypatch, capsys):
     assert cli.main(["scenario", "fig2-sharing"]) == 3
     err = capsys.readouterr().err
     assert "FAIL" in err and "--- trace ---" in err
+
+
+# --- fuzzing `dartlab run` ------------------------------------------------------
+
+def _floats(lo, hi):
+    return st.floats(lo, hi).map(repr)
+
+
+# The size of a run is capped: nodes, duration_s, rates and catalog are
+# always set, and list lengths and the shortest timers are bounded, so every
+# example finishes in well under a second.
+_CAPPED = dict(
+    nodes=st.integers(1, 8).map(str),
+    rates=st.lists(_floats(0.5, 30.0), min_size=1, max_size=2).map(",".join),
+    catalog=st.integers(1, 60).map(str),
+    duration_s=_floats(0.1, 1.5),
+    area=_floats(1.0, 30.0),
+    radius=_floats(0.5, 40.0),
+    producers=st.integers(0, 1).map(str),
+    sample_interval_ms=_floats(1.0, 50.0),
+)
+_OPTIONAL = dict(
+    link_delay_ms=_floats(0.5, 300.0),
+    topology_seed=st.integers(-5, 2**40).map(str),
+    schemes=st.lists(st.sampled_from(["dart", "ndn"]), min_size=1, max_size=2).map(",".join),
+    caching=st.lists(st.sampled_from(["edge", "onpath", "none"]),
+                     min_size=1, max_size=2).map(",".join),
+    seeds=st.lists(st.integers(-3, 99).map(str), min_size=1, max_size=2).map(",".join),
+    zipf_alpha=_floats(0.0, 3.0),
+    dart_ttl_s=_floats(0.05, 5.0),
+    pit_lifetime_s=_floats(0.05, 5.0),
+    retry_timeout_s=_floats(0.05, 5.0),
+    max_tries=st.integers(1, 4).map(str),
+    warmup_frac=_floats(0.0, 0.5),
+    sweep_interval_s=_floats(0.05, 2.0),
+    audit=st.sampled_from(["on", "off"]),
+    store_capacity=st.integers(0, 10).map(str),
+)
+# at most one field gets a value that a range check or the parser must refuse
+_SPOIL = st.none() | st.tuples(
+    st.sampled_from(sorted({**_CAPPED, **_OPTIONAL})),
+    st.sampled_from(["0", "-1", "nan", "inf", "-inf", "1e400", "many", "dart,dart", ","]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(fields=st.fixed_dictionaries(_CAPPED, optional=_OPTIONAL), spoil=_SPOIL,
+       flags=st.lists(st.sampled_from([("--audit", "off"), ("--seed", "4"),
+                                       ("--workers", "0")]), max_size=2, unique=True))
+def test_run_never_ends_in_a_traceback(fields, spoil, flags):
+    if spoil is not None:
+        fields[spoil[0]] = spoil[1]
+    text = "".join(f"{k} = {v}\n" for k, v in fields.items())
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "exp.cfg"
+        cfg.write_text(text)
+        argv = ["run", str(cfg), "--out", str(Path(tmp) / "r")]
+        argv += [arg for flag in flags for arg in flag]
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = cli.main(argv)
+    assert code in (0, 1), (text, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -37,8 +37,8 @@ def test_local_interest_creates_origin_leg_and_pending_rct():
     dst, msg = out[0]
     assert dst == "b" and isinstance(msg, Interest)
     assert msg.hop_count == 3  # distance to anchor via b
-    assert a.table_size() == 1 and a.pending_names == 1
-    assert a.rct[OBJ].pending and a.rct[OBJ].consumers == {"c1"}
+    assert a.table_size() == 1
+    assert a.rct == {OBJ: {"c1"}}  # every RCT entry is pending
     leg = a.by_succ[msg.dart]
     assert leg.predecessor == "a" and leg.predecessor_dart == msg.dart
     assert leg.successor == "b" and leg.anchor == "d"
@@ -50,7 +50,7 @@ def test_local_interest_aggregates_second_consumer():
     a.on_local_interest("c1", OBJ, now=0.0)
     out = a.on_local_interest("c2", OBJ, now=1.0)
     assert out == [] and a.aggregated_local == 1
-    assert a.rct[OBJ].consumers == {"c1", "c2"}
+    assert a.rct == {OBJ: {"c1", "c2"}}
     assert a.table_size() == 1  # no extra route state for an aggregated ask
 
 
@@ -60,7 +60,7 @@ def test_origin_leg_shared_across_names_to_same_anchor():
     (d1,) = [e.message.dart for e in a.on_local_interest("c1", OBJ, 0.0)]
     (d2,) = [e.message.dart for e in a.on_local_interest("c1", OBJ2, 0.0)]
     assert d1 == d2 and a.table_size() == 1
-    assert a.pending_names == 2
+    assert a.rct == {OBJ: {"c1"}, OBJ2: {"c1"}}
 
 
 def test_local_interest_store_hit_short_circuits():
@@ -187,8 +187,7 @@ def test_data_at_origin_fans_out_sorted_and_settles_rct():
     out = a.on_data("b", DataPacket(OBJ, sd), now=3.0)
     assert [e.dst for e in out] == ["c1", "c2"]
     assert all(e.message == DataPacket(OBJ) for e in out)
-    assert a.pending_names == 0
-    assert not a.rct[OBJ].pending and a.rct[OBJ].consumers == set()
+    assert OBJ not in a.rct and not a.rct  # a satisfied entry is deleted
     assert a.store.get(OBJ) is not None  # edge router delivered locally
     # content now serves repeats without any new route state
     assert a.on_local_interest("c9", OBJ, 4.0) == [("c9", DataPacket(OBJ))]
@@ -197,7 +196,7 @@ def test_data_at_origin_fans_out_sorted_and_settles_rct():
 def test_data_at_origin_caching_none_drops_rct_entry():
     a, sd = origin_with_pending(mode=CachingMode.NONE)
     a.on_data("b", DataPacket(OBJ, sd), 3.0)
-    assert OBJ not in a.rct and a.pending_names == 0
+    assert OBJ not in a.rct and not a.rct
     assert a.store.get(OBJ) is None
 
 
@@ -219,7 +218,7 @@ def test_nack_relay_and_origin():
     out = a.on_nack("b", Nack(OBJ, NackCode.NO_CONTENT, sd2), 1.0)
     assert out == [("c1", Nack(OBJ, NackCode.NO_CONTENT)),
                    ("c2", Nack(OBJ, NackCode.NO_CONTENT))]
-    assert OBJ not in a.rct and a.pending_names == 0
+    assert OBJ not in a.rct and not a.rct
 
     assert a.on_nack("b", Nack(OBJ, NackCode.LOOP, 999), 1.0) is None
     assert a.orphan_nack == 1
@@ -255,13 +254,17 @@ def test_fresh_dart_wraps_and_skips_in_use():
     assert a.fresh_dart() == 1  # wrapped past the in-use token
 
 
-def test_content_eviction_clears_settled_rct():
+def test_evicted_content_is_fetched_again_through_a_fresh_rct_entry():
     _, fibs = line_fibs()
     a = DartRouter("a", fibs["a"], caching_mode=CachingMode.EDGE, store_capacity=1)
     (f1,) = a.on_local_interest("c1", OBJ, 0.0)
     a.on_data("b", DataPacket(OBJ, f1.message.dart), 1.0)
     (f2,) = a.on_local_interest("c1", OBJ2, 2.0)
     a.on_data("b", DataPacket(OBJ2, f2.message.dart), 3.0)
-    assert OBJ not in a.rct          # evicted content took its rct entry along
-    assert not a.rct[OBJ2].pending
+    assert not a.rct                 # satisfied entries never outlive their Data
     assert a.store.evictions == 1
+    assert OBJ not in a.store and OBJ2 in a.store
+    # the evicted name goes out again and waits in a new entry
+    assert a.on_local_interest("c2", OBJ, 4.0) == \
+        [("b", Interest(OBJ, f1.message.hop_count, f1.message.dart))]
+    assert a.rct == {OBJ: {"c2"}}

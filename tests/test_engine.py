@@ -1,3 +1,4 @@
+import gc
 import io
 import math
 import re
@@ -18,6 +19,7 @@ from dartlab.engine import (
     run,
     sample_table_sizes,
 )
+from dartlab.experiment import parse_config, run_cell
 from dartlab.model import (
     CachingMode,
     DataPacket,
@@ -209,6 +211,22 @@ def test_retry_counts_as_received_interest_and_gives_up():
     assert rep.interests_received["a"] == 3
 
 
+def test_retry_timer_ties_break_in_push_order(tmp_path):
+    # Retry timers wait in their own FIFO beside the heap.  At equal times
+    # the event pushed first still runs first: c.2's scripted request is
+    # pushed before c.1's retry is armed, so it is handled first at t=1000.
+    topo, fibs = line_topology(2, delay=600.0)
+    path = tmp_path / "trace.txt"
+    rep = run(topo, fibs, "dart", "none",
+              requests=[(0.0, "c.1", Name.parse("/p/0")), (1000.0, "c.2", Name.parse("/p/1"))],
+              consumers={"c.1": "a", "c.2": "a"}, catalog=catalog(2),
+              retry_timeout_ms=1000.0, duration_ms=3000.0, trace_path=str(path))
+    at_1000 = [line.split()[-1] for line in path.read_text().splitlines()
+               if line.startswith("t=1000.0 a RX INT")]
+    assert at_1000 == ["peer=c.2", "peer=c.1"]
+    assert rep.retries == 2 and rep.delivered == 2  # each request retried once
+
+
 def test_warmup_gates_delay_samples():
     topo, fibs = line_topology(2)
     reqs = [(100.0, "c.a", Name.parse("/p/0")), (600.0, "c.a", Name.parse("/p/1"))]
@@ -288,7 +306,7 @@ def test_audit_catches_non_descending_hop_budget():
     honest = sim.routers["b"]
 
     def stuck(sender, interest, now):
-        return [Emission("c", Interest(interest.name, interest.hop_count, 77))]
+        return [Emission(("c", Interest(interest.name, interest.hop_count, 77)))]
 
     honest.on_neighbor_interest = stuck
     with pytest.raises(AuditError) as ei:
@@ -306,9 +324,9 @@ def test_audit_catches_forwarding_revisit():
                       consumers={"c.a": "a"}, catalog=catalog(),
                       duration_ms=2000.0)
     sim.routers["b"].on_neighbor_interest = \
-        lambda s, i, now: [Emission("c", Interest(i.name, i.hop_count - 1, 88))]
+        lambda s, i, now: [Emission(("c", Interest(i.name, i.hop_count - 1, 88)))]
     sim.routers["c"].on_neighbor_interest = \
-        lambda s, i, now: [Emission("b", Interest(i.name, i.hop_count - 1, 99))]
+        lambda s, i, now: [Emission(("b", Interest(i.name, i.hop_count - 1, 99)))]
     with pytest.raises(AuditError) as ei:
         sim.run()
     assert ei.value.kind == "path-acyclicity"
@@ -319,9 +337,78 @@ def test_audit_catches_forwarding_revisit():
 def test_audits_can_be_disabled():
     topo, fibs, sim = scripted_sim(audits=False, retry_timeout_ms=100.0)
     sim.routers["b"].on_neighbor_interest = \
-        lambda s, i, now: [Emission("c", Interest(i.name, i.hop_count, 77))]
+        lambda s, i, now: [Emission(("c", Interest(i.name, i.hop_count, 77)))]
     rep = sim.run()  # completes instead of aborting; the request just dies
     assert rep.abandoned == 1
+
+
+# --- garbage collection ------------------------------------------------------------
+
+# Route and PIT lifetimes shorter than a round trip and a small store, so
+# orphan drops, expiry, retries, abandons and store evictions all happen.
+GC_CELL = """\
+nodes = 12
+area = 30
+radius = 14
+link_delay_ms = 40
+producers = 2
+catalog = 200
+duration_s = 3
+rates = 50
+store_capacity = 5
+retry_timeout_s = 0.3
+dart_ttl_s = 0.05
+pit_lifetime_s = 0.05
+sweep_interval_s = 0.02
+max_tries = 2
+"""
+
+
+@pytest.mark.parametrize("caching", ["edge", "onpath", "none"])
+@pytest.mark.parametrize("scheme", ["dart", "ndn"])
+def test_a_finished_cell_leaves_no_cyclic_garbage(scheme, caching, tmp_path):
+    # The loop runs with cyclic GC off, so it must build no reference
+    # cycles: refcounting alone has to free a finished cell.
+    cfg = parse_config(GC_CELL)
+    was = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        run_cell(cfg, scheme, caching, 50.0, 1, tmp_path, trace_path=str(tmp_path / "t"))
+        found = gc.collect()
+    finally:
+        if was:
+            gc.enable()
+    assert found == 0
+
+
+@pytest.mark.parametrize("audit_fails", [False, True])
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_suspends_gc_and_restores_the_callers_state(enabled, audit_fails):
+    topo, fibs, sim = scripted_sim()
+    honest = sim.routers["b"].on_neighbor_interest
+    seen = []
+
+    def spy(sender, interest, now):
+        seen.append(gc.isenabled())
+        if audit_fails:
+            return [Emission(("c", Interest(interest.name, interest.hop_count, 77)))]
+        return honest(sender, interest, now)
+
+    sim.routers["b"].on_neighbor_interest = spy
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if audit_fails:
+            with pytest.raises(AuditError):
+                sim.run()
+        else:
+            assert sim.run().delivered == 1
+        after = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False]
+    assert after is enabled
 
 
 # --- trace file ------------------------------------------------------------------

@@ -70,8 +70,7 @@ def test_caching_mode_values():
 
 
 def test_content_store_owned_beats_cache_and_lru_evicts():
-    evicted = []
-    cs = ContentStore(capacity=2, on_evict=evicted.append)
+    cs = ContentStore(capacity=2)
     n1, n2, n3 = (Name.parse(f"/o/{i}") for i in range(3))
     own = DataPacket(n1)
     cs.add_owned(own)
@@ -82,8 +81,9 @@ def test_content_store_owned_beats_cache_and_lru_evicts():
     assert n2 in cs and n3 in cs and len(cs) == 3
     cs.get(n2)  # refresh n2, so n3 is the LRU victim
     cs.cache(DataPacket(Name.parse("/o/4")))
-    assert evicted == [n3] and cs.evictions == 1
+    assert n3 not in cs and cs.evictions == 1
     assert cs.get(n3) is None
+    assert cs.get(n1) is own and n2 in cs and len(cs) == 3
 
 
 def test_content_store_unbounded_by_default():
