@@ -8,7 +8,8 @@ A DART router keeps state per *route in use*, not per in-flight interest:
 * The response-correlation table (RCT) exists only at consumer-facing
   routers and maps each name a local consumer waits for to the set of
   those consumers.  An entry lives from the first ask until its Data or
-  Nack comes back.
+  Nack comes back; a consumer that asks again while it waits re-sends the
+  Interest, so a lost response cannot block the name.
 
 An interest from a neighbour is only accepted if some admissible next hop is
 strictly closer to an anchor than the hop budget the interest carries and is
@@ -19,7 +20,7 @@ no matter how inconsistent the routing tables are.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from .model import (
     CachingMode,
@@ -54,6 +55,9 @@ class DartEntry:
 
 
 class DartRouter:
+    # counters under the names of the MetricsReport totals they add up to
+    TOTALS = ("aggregated", "loop_nacks", "orphan_data", "orphan_nack", "dart_evicted")
+
     def __init__(self, router_id: str, fib: Fib,
                  anchored_prefixes: Tuple[Prefix, ...] = (),
                  caching_mode: CachingMode = CachingMode.EDGE,
@@ -71,11 +75,23 @@ class DartRouter:
         self.by_succ: Dict[int, DartEntry] = {}
         self._origin: Dict[Tuple[str, str], DartEntry] = {}  # (anchor, successor)
         self._next_dart = 1
-        self.aggregated_local = 0
-        self.loop_nacks_sent = 0
-        self.orphan_data = 0
-        self.orphan_nack = 0
-        self.evicted_darts = 0
+        self.interests_received = 0
+        for key in self.TOTALS:
+            setattr(self, key, 0)
+
+    # -- the surface the engine uses ---------------------------------------
+
+    def handlers(self) -> Dict[type, Callable]:
+        """{packet type: bound handler}; a consumer's ask is a bare Name."""
+        return {Name: self.on_local_interest, Interest: self.on_neighbor_interest,
+                DataPacket: self.on_data, Nack: self.on_nack}
+
+    def sweep(self, now: float) -> int:
+        return self.evict_darts(now)
+
+    def table_sizes(self) -> Tuple[int, int]:
+        """(dart entries incl. origin legs, RCT names)."""
+        return (len(self.by_succ), len(self.rct))
 
     # -- dart bookkeeping --------------------------------------------------
 
@@ -109,7 +125,7 @@ class DartRouter:
         stale = [e for e in self.by_succ.values() if e.last_used < cutoff]
         for e in stale:
             self._drop_entry(e)
-        self.evicted_darts += len(stale)
+        self.dart_evicted += len(stale)
         return len(stale)
 
     # -- content -----------------------------------------------------------
@@ -146,14 +162,19 @@ class DartRouter:
     # -- packet handlers ---------------------------------------------------
 
     def on_local_interest(self, consumer: str, name: Name, now: float) -> List[Emission]:
+        self.interests_received += 1
         data = self.store.get(name)
         if data is not None:
             return [Emission((consumer, DataPacket(name)))]
         waiting = self.rct.get(name)
         if waiting is not None:
-            waiting.add(consumer)
-            self.aggregated_local += 1
-            return []
+            if consumer not in waiting:
+                waiting.add(consumer)
+                self.aggregated += 1
+                return []
+            # The consumer already waits here: only its retry, or an ask
+            # after it gave up, gets here, so the response is late or lost
+            # on the way.  Send the Interest again, on a fresh leg if need be.
         if self._anchored(name):
             return [Emission((consumer, Nack(name, NackCode.NO_CONTENT)))]
         tuples = self.fib.lookup(name)
@@ -166,10 +187,12 @@ class DartRouter:
             leg = self._add_entry(DartEntry(t.anchor, self.router_id, sd,
                                             t.next_hop, sd, t.distance, now))
         leg.last_used = now
-        self.rct[name] = {consumer}
+        if waiting is None:
+            self.rct[name] = {consumer}
         return [Emission((leg.successor, Interest(name, leg.hop_count, leg.successor_dart)))]
 
     def on_neighbor_interest(self, sender: str, interest: Interest, now: float) -> List[Emission]:
+        self.interests_received += 1
         name = interest.name
         data = self.store.get(name)
         if data is not None:
@@ -185,7 +208,7 @@ class DartRouter:
             return [Emission((sender, Nack(name, NackCode.NO_ROUTE, interest.dart)))]
         t = self.dear_check(name, interest.hop_count, exclude=sender)
         if t is None:
-            self.loop_nacks_sent += 1
+            self.loop_nacks += 1
             return [Emission((sender, Nack(name, NackCode.LOOP, interest.dart)))]
         sd = self.fresh_dart()
         leg = self._add_entry(DartEntry(t.anchor, sender, interest.dart,

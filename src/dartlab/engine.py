@@ -120,16 +120,11 @@ def generate_workload(spec: WorkloadSpec, consumers: Sequence[str]):
 
 
 def sample_table_sizes(routers: Dict[str, object]) -> Dict[str, tuple]:
-    """Forwarding-state size snapshot: (PIT entries,) for the baseline,
-    (dart entries incl. origin legs, RCT names) for DART.  Every RCT name
-    is pending: an entry is deleted when its Data or Nack comes back."""
-    out = {}
-    for rid, router in routers.items():
-        if isinstance(router, DartRouter):
-            out[rid] = (router.table_size(), len(router.rct))
-        else:
-            out[rid] = (router.table_size(),)
-    return out
+    """Forwarding-state size snapshot, each router's ``table_sizes()``:
+    (PIT entries,) for the baseline, (dart entries incl. origin legs, RCT
+    names) for DART.  Every RCT name is pending: an entry is deleted when
+    its Data or Nack comes back."""
+    return {rid: router.table_sizes() for rid, router in routers.items()}
 
 
 @dataclass
@@ -138,7 +133,8 @@ class MetricsReport:
     caching: str
     rate: float
     routers: Tuple[str, ...]
-    # per-router (post-warmup samples)
+    # per-router (post-warmup samples); rct_pending_mean only for routers
+    # that keep an RCT
     table_size_mean: Dict[str, float] = field(default_factory=dict)
     table_size_max: Dict[str, int] = field(default_factory=dict)
     rct_pending_mean: Dict[str, float] = field(default_factory=dict)
@@ -182,8 +178,8 @@ class MetricsReport:
         for r in self.routers:
             add(r, "table_size_mean", self.table_size_mean.get(r, 0.0))
             add(r, "table_size_max", self.table_size_max.get(r, 0))
-            if self.scheme == Scheme.DART.value:
-                add(r, "rct_pending_mean", self.rct_pending_mean.get(r, 0.0))
+            if r in self.rct_pending_mean:
+                add(r, "rct_pending_mean", self.rct_pending_mean[r])
             add(r, "interests_received", self.interests_received.get(r, 0))
             add(r, "delay_count", self.delay_count.get(r, 0))
             if self.delay_count.get(r, 0):
@@ -252,7 +248,6 @@ class _Simulation:
             if not value > 0:
                 raise ValueError(f"{key} must be > 0, got {value}")
         self.scheme = scheme
-        self.caching_mode = caching_mode
         self.catalog: List[Name] = list(catalog)
         self.max_tries = max_tries
         self.retry_timeout_ms = retry_timeout_ms
@@ -281,8 +276,8 @@ class _Simulation:
                                   dart_ttl_ms=dart_ttl_ms, store_capacity=store_capacity)
             else:
                 node = NdnRouter(r, fibs[r], tuple(anchored[r]), caching_mode,
-                                 pit_lifetime_ms=pit_lifetime_ms, store_capacity=store_capacity)
-                node.local_consumers = {c for c, rr in consumers.items() if rr == r}
+                                 pit_lifetime_ms=pit_lifetime_ms, store_capacity=store_capacity,
+                                 local_consumers=[c for c, rr in consumers.items() if rr == r])
             self.routers[r] = node
         for prefix, anchors in topology.anchors.items():
             owned = [n for n in self.catalog if prefix.matches(n)]
@@ -291,10 +286,10 @@ class _Simulation:
                 for n in owned:
                     node.preload(DataPacket(n))
 
+        # a consumer's NDN Interest carries a nonce from its router's generator
         workload_seed = workload.seed if workload is not None else seed
-        if scheme is Scheme.NDN:
-            self._nonce_rng = {r: random.Random(f"nonce:{workload_seed}:{r}")
-                               for r in topology.routers}
+        self._nonce_rng = {r: random.Random(f"nonce:{workload_seed}:{r}")
+                           for r in topology.routers} if scheme is Scheme.NDN else {}
 
         # Initial events as (time, kind, data).  A workload request carries
         # its consumer's stream: the loop pulls that consumer's next request
@@ -339,23 +334,17 @@ class _Simulation:
         self.audit = bool(audits) and scheme is Scheme.DART
         self.recent: deque = deque(maxlen=256)
 
-        # metrics accumulators
-        rl = self.router_list = list(topology.routers)
-        self.rate = workload.per_router_rate if workload is not None else 0.0
-        self.interests_received = {r: 0 for r in rl}
-        self.size_sum = {r: 0 for r in rl}
-        self.size_max = {r: 0 for r in rl}
-        self.pending_sum = {r: 0 for r in rl}
+        # The report is filled as the loop runs; the sums behind its means
+        # (one per table a router reports) are kept beside it.
+        rl = tuple(topology.routers)
+        self.report = MetricsReport(
+            scheme.value, caching_mode.value,
+            workload.per_router_rate if workload is not None else 0.0, rl,
+            table_size_max={r: 0 for r in rl}, delay_count={r: 0 for r in rl})
+        self.size_sums = {r: [0] * len(node.table_sizes()) for r, node in self.routers.items()}
         self.sample_count = 0
         self.delay_sum = {r: 0.0 for r in rl}
-        self.delay_count = {r: 0 for r in rl}
         self.open: Dict[tuple, _OpenRequest] = {}
-        self.requests = 0
-        self.delivered = 0
-        self.nacked = 0
-        self.abandoned = 0
-        self.retries = 0
-        self.nacked_by_code: Dict[str, int] = {}
 
     def _recent_lines(self) -> List[str]:
         return [_trace_line(t, dst, "RX", m, src) for (t, src, dst, m) in self.recent]
@@ -363,25 +352,17 @@ class _Simulation:
     # -- timers: each returns when it fires next ---------------------------
 
     def _sweep(self, now: float) -> float:
-        if self.scheme is Scheme.DART:
-            for r in self.router_list:
-                self.routers[r].evict_darts(now)
-        else:
-            for r in self.router_list:
-                self.routers[r].expire_pit(now)
+        for node in self.routers.values():
+            node.sweep(now)
         return now + self.sweep_interval_ms
 
     def _sample(self, now: float) -> float:
-        sizes = sample_table_sizes(self.routers)
         self.sample_count += 1
-        dart = self.scheme is Scheme.DART
-        for r in self.router_list:
-            n = sizes[r][0]
-            self.size_sum[r] += n
-            if n > self.size_max[r]:
-                self.size_max[r] = n
-            if dart:
-                self.pending_sum[r] += sizes[r][1]
+        sums, peak = self.size_sums, self.report.table_size_max
+        for r, sizes in sample_table_sizes(self.routers).items():
+            sums[r] = [s + n for s, n in zip(sums[r], sizes)]
+            if sizes[0] > peak[r]:
+                peak[r] = sizes[0]
         return now + self.sample_interval_ms
 
     # -- main loop ----------------------------------------------------------
@@ -403,24 +384,19 @@ class _Simulation:
         # in (time, seq) order and the loop pops whichever head is smaller.
         timers: deque = deque()
         arm, fire = timers.append, timers.popleft
-        dart = self.scheme is Scheme.DART
-        interest_type = Interest if dart else NdnInterest
-        handlers = {r: {interest_type: node.on_neighbor_interest if dart else node.on_interest,
-                        DataPacket: node.on_data, Nack: node.on_nack}
-                    for r, node in self.routers.items()}
-        local_ask = {r: node.on_local_interest if dart else node.on_interest
-                     for r, node in self.routers.items()}
-        nonce_bits = {} if dart else {r: g.getrandbits for r, g in self._nonce_rng.items()}
+        handlers = {r: node.handlers() for r, node in self.routers.items()}
+        dart = self.scheme is Scheme.DART  # which packet a consumer's ask is
+        nonce_bits = {r: g.getrandbits for r, g in self._nonce_rng.items()}
         consumer_router, delays, catalog = self.consumer_router, self.delays, self.catalog
-        open_requests, received = self.open, self.interests_received
-        delay_sum, delay_count, nacked_by_code = self.delay_sum, self.delay_count, self.nacked_by_code
+        rep, open_requests, delay_sum = self.report, self.open, self.delay_sum
+        delay_count, nacked_by_code = rep.delay_count, rep.nacked_by_code
         warm, horizon = self.warmup_ms, self.horizon_ms
         retry_timeout, max_tries = self.retry_timeout_ms, self.max_tries
         audit, remember = self.audit, self.recent.append
         write = self.trace.write if self.trace else None
         seq, token = self._seq, 0
-        requests, delivered, nacked = self.requests, self.delivered, self.nacked
-        abandoned, retries = self.abandoned, self.retries
+        requests, delivered, nacked = rep.requests, rep.delivered, rep.nacked
+        abandoned, retries = rep.abandoned, rep.retries
         gc_was_enabled = gc.isenabled()
         gc.disable()
         try:
@@ -439,8 +415,6 @@ class _Simulation:
                     mt = type(in_msg)
                     if audit:
                         remember((now, sender, here, in_msg))
-                    if mt is interest_type:
-                        received[here] += 1
                     ems = handlers[here][mt](sender, in_msg, now)
                     if write is not None:
                         # handlers return None exactly when they drop the packet
@@ -487,18 +461,18 @@ class _Simulation:
                             seq += 1
                             push(heap, (due, seq, kind, None))
                         continue
-                    # the consumer's Interest reaches its router at once
+                    # the consumer's Interest reaches its router at once: to
+                    # DART a bare Name (the packet is built only for the trace)
                     here = consumer_router[consumer]
-                    received[here] += 1
                     if dart:
                         if write is not None:
                             write(_trace_line(now, here, "RX", Interest(name), consumer) + "\n")
-                        ems = local_ask[here](consumer, name, now)
+                        ems = handlers[here][Name](consumer, name, now)
                     else:
                         ask = NdnInterest(name, nonce_bits[here](64))
                         if write is not None:
                             write(_trace_line(now, here, "RX", ask, consumer) + "\n")
-                        ems = local_ask[here](consumer, ask, now)
+                        ems = handlers[here][NdnInterest](consumer, ask, now)
                     in_msg, in_chain = None, ()
 
                 # Emission routing: a consumer sits on its router and gets its
@@ -549,48 +523,31 @@ class _Simulation:
             if gc_was_enabled:
                 gc.enable()
             self._seq = seq
-            self.requests, self.delivered, self.nacked = requests, delivered, nacked
-            self.abandoned, self.retries = abandoned, retries
+            rep.requests, rep.delivered, rep.nacked = requests, delivered, nacked
+            rep.abandoned, rep.retries = abandoned, retries
         return self._report()
 
     def _report(self) -> MetricsReport:
-        rep = MetricsReport(self.scheme.value, self.caching_mode.value, self.rate,
-                            tuple(self.router_list))
-        k = self.sample_count
+        """Add what the routers hold to the report: sample means, Interest
+        counts and each router's TOTALS."""
+        rep, k = self.report, self.sample_count
         means = []
-        for r in self.router_list:
-            mean = self.size_sum[r] / k if k else 0.0
+        for r, node in self.routers.items():
+            mean, *rct = [s / k if k else 0.0 for s in self.size_sums[r]]
             rep.table_size_mean[r] = mean
-            rep.table_size_max[r] = self.size_max[r]
             means.append(mean)
-            if self.scheme is Scheme.DART:
-                rep.rct_pending_mean[r] = self.pending_sum[r] / k if k else 0.0
-            rep.interests_received[r] = self.interests_received[r]
-            rep.delay_count[r] = self.delay_count[r]
-            if self.delay_count[r]:
-                rep.delay_mean_ms[r] = self.delay_sum[r] / self.delay_count[r]
+            if rct:
+                rep.rct_pending_mean[r] = rct[0]
+            rep.interests_received[r] = node.interests_received
+            if rep.delay_count[r]:
+                rep.delay_mean_ms[r] = self.delay_sum[r] / rep.delay_count[r]
+            for key in node.TOTALS:
+                setattr(rep, key, getattr(rep, key) + getattr(node, key))
+            rep.store_evictions += node.store.evictions
         mu = sum(means) / len(means)
         rep.table_size_router_mean = mu
         rep.table_size_router_std = math.sqrt(
             max(0.0, sum(m * m for m in means) / len(means) - mu * mu))
-        rep.requests = self.requests
-        rep.delivered = self.delivered
-        rep.nacked = self.nacked
-        rep.abandoned = self.abandoned
-        rep.retries = self.retries
-        rep.nacked_by_code = dict(self.nacked_by_code)
-        nodes = [self.routers[r] for r in self.router_list]
-        rep.orphan_data = sum(n.orphan_data for n in nodes)
-        rep.loop_nacks = sum(n.loop_nacks_sent for n in nodes)
-        rep.store_evictions = sum(n.store.evictions for n in nodes)
-        if self.scheme is Scheme.DART:
-            rep.aggregated = sum(n.aggregated_local for n in nodes)
-            rep.orphan_nack = sum(n.orphan_nack for n in nodes)
-            rep.dart_evicted = sum(n.evicted_darts for n in nodes)
-        else:
-            rep.aggregated = sum(n.aggregated for n in nodes)
-            rep.pit_expired = sum(n.expired_pit for n in nodes)
-            rep.nacks_dropped = sum(n.nacks_dropped for n in nodes)
         return rep
 
 
@@ -603,11 +560,7 @@ def run(topology: Topology, fibs: Dict[str, Fib], scheme, caching_mode,
     drives traffic.  ``catalog`` (the content names that exist; anchors
     preload everything matching their prefixes) is always required.
     """
-    if not isinstance(scheme, Scheme):
-        scheme = Scheme(scheme)
-    if not isinstance(caching_mode, CachingMode):
-        caching_mode = CachingMode(caching_mode)
     with open(trace_path, "w") if trace_path else nullcontext() as fh:
-        sim = _Simulation(topology, fibs, scheme, caching_mode,
+        sim = _Simulation(topology, fibs, Scheme(scheme), CachingMode(caching_mode),
                           workload=workload, audits=audits, trace=fh, **kwargs)
         return sim.run()

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from . import __version__
-from .engine import WorkloadSpec, run
+from .engine import MetricsReport, WorkloadSpec, run
 from .model import Name, Prefix
 from .routing import Topology, compute_fibs, generate_topology
 
@@ -180,26 +180,28 @@ def write_rows(path: Path, rows) -> None:
     os.replace(tmp, path)
 
 
-def engine_options(cfg: ExperimentConfig) -> Dict[str, object]:
-    """The ``engine.run`` keyword arguments a config fixes for every cell."""
-    return dict(audits=cfg.audit,
-                dart_ttl_ms=cfg.dart_ttl_s * 1000.0,
-                pit_lifetime_ms=cfg.pit_lifetime_s * 1000.0,
-                retry_timeout_ms=cfg.retry_timeout_s * 1000.0,
-                max_tries=cfg.max_tries, warmup_fraction=cfg.warmup_frac,
-                sample_interval_ms=cfg.sample_interval_ms,
-                sweep_interval_ms=cfg.sweep_interval_s * 1000.0,
-                store_capacity=cfg.store_capacity or None)
-
-
-def run_cell(cfg: ExperimentConfig, scheme: str, caching: str, rate: float,
-             seed: int, out_dir, trace_path: Optional[str] = None) -> str:
+def simulate_cell(cfg: ExperimentConfig, scheme: str, caching: str, rate: float,
+                  seed: int, trace_path: Optional[str] = None) -> MetricsReport:
+    """Build one cell of the config's grid and simulate it; the one place a
+    config's fields become engine arguments."""
     topo = build_topology(cfg)
     fibs = compute_fibs(topo)
     catalog = build_catalog(cfg, topo)
     wl = WorkloadSpec(cfg.zipf_alpha, cfg.catalog, rate, cfg.duration_s, seed)
-    rep = run(topo, fibs, scheme, caching, workload=wl, catalog=catalog,
-              trace_path=trace_path, **engine_options(cfg))
+    return run(topo, fibs, scheme, caching, workload=wl, catalog=catalog,
+               trace_path=trace_path, audits=cfg.audit,
+               dart_ttl_ms=cfg.dart_ttl_s * 1000.0,
+               pit_lifetime_ms=cfg.pit_lifetime_s * 1000.0,
+               retry_timeout_ms=cfg.retry_timeout_s * 1000.0,
+               max_tries=cfg.max_tries, warmup_fraction=cfg.warmup_frac,
+               sample_interval_ms=cfg.sample_interval_ms,
+               sweep_interval_ms=cfg.sweep_interval_s * 1000.0,
+               store_capacity=cfg.store_capacity or None)
+
+
+def run_cell(cfg: ExperimentConfig, scheme: str, caching: str, rate: float,
+             seed: int, out_dir, trace_path: Optional[str] = None) -> str:
+    rep = simulate_cell(cfg, scheme, caching, rate, seed, trace_path)
     name = cell_filename(scheme, caching, rate, seed)
     write_rows(Path(out_dir) / name, rep.rows())
     return name
@@ -277,7 +279,11 @@ def _read_cell(path: Path) -> Dict:
     }
 
 
-def compare_dir(dir_path, flatness_threshold: float = 2.0):
+# DART state counts as flat across rates when its max/min stays within this
+FLATNESS_THRESHOLD = 2.0
+
+
+def compare_dir(dir_path):
     """Cross-scheme summary per (caching, rate): mean state size, interest
     counts, delays, and the DART-stays-flat check across rates.
 
@@ -350,11 +356,11 @@ def compare_dir(dir_path, flatness_threshold: float = 2.0):
             lines.append(f"flatness[{ca}]: insufficient data (single rate)")
         else:
             spread = max(darts) / min(darts) if min(darts) > 0 else float("inf")
-            flat = spread <= flatness_threshold
+            flat = spread <= FLATNESS_THRESHOLD
             summary["flatness"][ca] = spread
             lines.append(f"flatness[{ca}]: dart state max/min across rates = "
                          f"{spread:.2f} ({'flat' if flat else 'NOT flat'} at "
-                         f"threshold {flatness_threshold:g})")
+                         f"threshold {FLATNESS_THRESHOLD:g})")
     for e in errors:
         lines.append(f"error: {e}")
     return lines, summary

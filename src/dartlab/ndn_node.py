@@ -10,7 +10,7 @@ consumer behind a refused interest simply waits for its timeout.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from .model import (
     CachingMode,
@@ -37,11 +37,15 @@ class PitEntry:
 
 
 class NdnRouter:
+    # counters under the names of the MetricsReport totals they add up to
+    TOTALS = ("aggregated", "loop_nacks", "orphan_data", "pit_expired", "nacks_dropped")
+
     def __init__(self, router_id: str, fib: Fib,
                  anchored_prefixes: Tuple[Prefix, ...] = (),
                  caching_mode: CachingMode = CachingMode.EDGE,
                  pit_lifetime_ms: float = 4_000.0,
-                 store_capacity: Optional[int] = None):
+                 store_capacity: Optional[int] = None,
+                 local_consumers: Iterable[str] = ()):
         self.router_id = router_id
         self.fib = fib
         self.anchored_prefixes = tuple(anchored_prefixes)
@@ -49,16 +53,26 @@ class NdnRouter:
         self.pit_lifetime_ms = pit_lifetime_ms
         self.store = ContentStore(store_capacity)
         self.pit: Dict[Name, PitEntry] = {}
-        self.local_consumers: Set[str] = set()
+        # consumers attached here: edge caching keeps Data that one of them asked for
+        self.local_consumers = frozenset(local_consumers)
         self.seen_nonces: Set[int] = set()
-        self.aggregated = 0
-        self.loop_nacks_sent = 0
-        self.nacks_dropped = 0
-        self.orphan_data = 0
-        self.expired_pit = 0
+        self.interests_received = 0
+        for key in self.TOTALS:
+            setattr(self, key, 0)
 
-    def table_size(self) -> int:
-        return len(self.pit)
+    # -- the surface the engine uses ---------------------------------------
+
+    def handlers(self) -> Dict[type, Callable]:
+        """{packet type: bound handler}; a consumer's ask is an NdnInterest
+        like a neighbour's."""
+        return {NdnInterest: self.on_interest, DataPacket: self.on_data, Nack: self.on_nack}
+
+    def sweep(self, now: float) -> int:
+        return self.expire_pit(now)
+
+    def table_sizes(self) -> Tuple[int]:
+        """(PIT entries,)."""
+        return (len(self.pit),)
 
     def preload(self, data: DataPacket):
         self.store.add_owned(data)
@@ -71,14 +85,15 @@ class NdnRouter:
 
     def on_interest(self, sender: str, interest: NdnInterest, now: float) -> List[Emission]:
         """Handle an interest from ``sender`` — a neighbour router or a local
-        consumer (consumers are registered via ``local_consumers``)."""
+        consumer (one of ``local_consumers``)."""
+        self.interests_received += 1
         name, nonce = interest.name, interest.nonce
         data = self.store.get(name)
         if data is not None:
             return [Emission((sender, data))]
         if nonce in self.seen_nonces:
             # the same interest came around again: classic duplicate kill
-            self.loop_nacks_sent += 1
+            self.loop_nacks += 1
             return [Emission((sender, Nack(name, NackCode.LOOP)))]
         self.seen_nonces.add(nonce)
         entry = self.pit.get(name)
@@ -128,5 +143,5 @@ class NdnRouter:
         dead = [n for n, e in self.pit.items() if e.expiry <= now]
         for n in dead:
             del self.pit[n]
-        self.expired_pit += len(dead)
+        self.pit_expired += len(dead)
         return len(dead)

@@ -22,9 +22,8 @@ import networkx as nx
 import pytest
 
 from dartlab.cli import main as cli_main
-from dartlab.engine import WorkloadSpec, run
-from dartlab.experiment import (ExperimentConfig, build_catalog, build_topology,
-                                engine_options)
+from dartlab.engine import run
+from dartlab.experiment import ExperimentConfig, simulate_cell
 from dartlab.model import Name, Prefix
 from dartlab.routing import (Topology, compute_fibs, inject_stale_distances,
                              override_rankings)
@@ -44,17 +43,11 @@ def grid():
     run in a process pool with one worker per CPU; a report does not depend
     on which worker ran it (test_experiment_reruns_are_byte_identical)."""
     cfg = ExperimentConfig()
-    topo = build_topology(cfg)
-    fibs = compute_fibs(topo)
-    catalog = build_catalog(cfg, topo)
     with ProcessPoolExecutor(max_workers=os.cpu_count(),
                              mp_context=multiprocessing.get_context("spawn")) as pool:
-        futures = []
-        for scheme, caching, rate, seed in cfg.cells():
-            wl = WorkloadSpec(cfg.zipf_alpha, cfg.catalog, rate, cfg.duration_s, seed)
-            futures.append(((scheme, caching, rate),
-                            pool.submit(run, topo, fibs, scheme, caching, workload=wl,
-                                        catalog=catalog, **engine_options(cfg))))
+        futures = [((scheme, caching, rate),
+                    pool.submit(simulate_cell, cfg, scheme, caching, rate, seed))
+                   for scheme, caching, rate, seed in cfg.cells()]
         out = {}
         for key, future in futures:
             out.setdefault(key, []).append(future.result())

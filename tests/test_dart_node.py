@@ -49,9 +49,28 @@ def test_local_interest_aggregates_second_consumer():
     a = make("a", fibs)
     a.on_local_interest("c1", OBJ, now=0.0)
     out = a.on_local_interest("c2", OBJ, now=1.0)
-    assert out == [] and a.aggregated_local == 1
+    assert out == [] and a.aggregated == 1
     assert a.rct == {OBJ: {"c1", "c2"}}
     assert a.table_size() == 1  # no extra route state for an aggregated ask
+
+
+def test_waiting_consumer_that_asks_again_resends_the_interest():
+    # only a retry, or an ask after giving up, repeats a pending ask: the
+    # response is late or lost, so the Interest goes out again; another
+    # consumer's ask still waits behind the entry
+    _, fibs = line_fibs()
+    a = make("a", fibs)
+    (first,) = a.on_local_interest("c1", OBJ, now=0.0)
+    assert a.on_local_interest("c2", OBJ, now=1.0) == []
+    assert a.on_local_interest("c1", OBJ, now=2.0) == [first]
+    assert a.rct == {OBJ: {"c1", "c2"}} and a.aggregated == 1
+    assert a.table_size() == 1 and a.by_succ[first.message.dart].last_used == 2.0
+    # the origin leg idled out meanwhile: the re-sent Interest opens a new one
+    a.evict_darts(now=60_000.0)
+    (again,) = a.on_local_interest("c2", OBJ, now=60_001.0)
+    assert again.message.dart != first.message.dart and a.table_size() == 1
+    assert a.rct == {OBJ: {"c1", "c2"}} and a.aggregated == 1
+    assert a.interests_received == 4
 
 
 def test_origin_leg_shared_across_names_to_same_anchor():
@@ -115,7 +134,7 @@ def test_neighbor_interest_refuses_without_forward_progress():
     # budget 2: c is at distance 2 (not strictly closer), a is excluded
     out = b.on_neighbor_interest("a", Interest(OBJ, 2, 9), now=0.0)
     assert out == [("a", Nack(OBJ, NackCode.LOOP, 9))]
-    assert b.loop_nacks_sent == 1 and b.table_size() == 0
+    assert b.loop_nacks == 1 and b.table_size() == 0
 
 
 def test_neighbor_interest_excludes_sender_even_if_closer():
@@ -141,7 +160,7 @@ def test_neighbor_interest_store_anchor_and_no_route():
     other = Name.parse("/unrouted/x")
     assert b.on_neighbor_interest("a", Interest(other, 4, 8), 0.0) == \
         [("a", Nack(other, NackCode.NO_ROUTE, 8))]
-    assert b.loop_nacks_sent == 0
+    assert b.loop_nacks == 0
 
 
 def relay_with_leg(mode=CachingMode.EDGE):
@@ -229,7 +248,7 @@ def test_evict_darts_is_idle_based():
     b.on_neighbor_interest("a", Interest(OBJ2, 3, 8), now=5_000.0)
     assert b.evict_darts(now=11_000.0) == 1  # only the leg idle since t=0
     assert b.table_size() == 1 and ("a", 8) in b.by_pred
-    assert b.evicted_darts == 1
+    assert b.dart_evicted == 1
     # refreshing keeps an entry alive indefinitely
     b.on_neighbor_interest("a", Interest(OBJ, 3, 8), now=14_000.0)
     assert b.evict_darts(now=15_000.0) == 0

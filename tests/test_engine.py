@@ -3,6 +3,7 @@ import io
 import math
 import re
 from collections import Counter
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from dartlab.engine import (
     run,
     sample_table_sizes,
 )
-from dartlab.experiment import parse_config, run_cell
+from dartlab.experiment import parse_config, run_cell, simulate_cell
 from dartlab.model import (
     CachingMode,
     DataPacket,
@@ -211,6 +212,33 @@ def test_retry_counts_as_received_interest_and_gives_up():
     assert rep.interests_received["a"] == 3
 
 
+def test_a_retry_recovers_a_response_lost_on_the_way():
+    # b drops the first Data; the consumer's retry at t=1000 is sent again
+    # from a instead of waiting behind the pending RCT entry, and delivered
+    topo, fibs = line_topology(3)
+    buf = io.StringIO()
+    sim = _Simulation(topo, fibs, Scheme.DART, CachingMode.NONE,
+                      requests=[(0.0, "c.a", Name.parse("/p/0"))],
+                      consumers={"c.a": "a"}, catalog=catalog(), duration_ms=5000.0,
+                      warmup_fraction=0.0, trace=buf)
+    relay = sim.routers["b"].on_data
+    lost = []
+
+    def drop_once(sender, data, now):
+        if not lost:
+            lost.append(now)
+            return None
+        return relay(sender, data, now)
+
+    sim.routers["b"].on_data = drop_once
+    rep = sim.run()
+    assert lost == [75.0]
+    assert (rep.delivered, rep.abandoned, rep.retries, rep.aggregated) == (1, 0, 1, 0)
+    assert rep.delay_mean_ms["a"] == 1100.0
+    sent = [l.split(" name=")[0] for l in buf.getvalue().splitlines() if " a TX INT " in l]
+    assert sent == ["t=0.0 a TX INT", "t=1000.0 a TX INT"]
+
+
 def test_retry_timer_ties_break_in_push_order(tmp_path):
     # Retry timers wait in their own FIFO beside the heap.  At equal times
     # the event pushed first still runs first: c.2's scripted request is
@@ -380,6 +408,33 @@ def test_a_finished_cell_leaves_no_cyclic_garbage(scheme, caching, tmp_path):
         if was:
             gc.enable()
     assert found == 0
+
+
+@pytest.mark.parametrize("scheme, positive", [
+    # one consumer per router and consistent FIBs: nothing aggregates at a
+    # DART origin, and no router refuses an Interest or sends a Nack
+    ("dart", {"orphan_data", "dart_evicted"}),
+    ("ndn", {"aggregated", "orphan_data", "pit_expired"}),
+])
+def test_report_totals_add_up_the_routers_counters(scheme, positive, monkeypatch):
+    sims = []
+    report = _Simulation._report
+    monkeypatch.setattr(_Simulation, "_report", lambda sim: sims.append(sim) or report(sim))
+    rep = simulate_cell(parse_config(GC_CELL), scheme, "edge", 50.0, 1)
+    (sim,) = sims
+    nodes = list(sim.routers.values())
+    kept = type(nodes[0]).TOTALS
+    # a name that is no report field would be a stray total nothing reads
+    assert set(kept) <= {f.name for f in fields(MetricsReport)}
+    for key in kept:
+        assert getattr(rep, key) == sum(getattr(n, key) for n in nodes), key
+    assert {key for key in kept if getattr(rep, key) > 0} == positive
+    # a total only the other scheme keeps stays 0
+    others = set(DartRouter.TOTALS) ^ set(NdnRouter.TOTALS)
+    assert all(getattr(rep, key) == 0 for key in others - set(kept))
+    assert rep.store_evictions == sum(n.store.evictions for n in nodes) > 0
+    assert rep.interests_received == {r: n.interests_received for r, n in sim.routers.items()}
+    assert min(rep.interests_received.values()) > 0
 
 
 @pytest.mark.parametrize("audit_fails", [False, True])

@@ -33,7 +33,7 @@ def test_interest_creates_pit_and_forwards_best_hop():
     assert out == [("c", NdnInterest(OBJ, 111))]  # nonce travels unchanged
     e = b.pit[OBJ]
     assert e.in_records == {111: "a"}
-    assert e.expiry == 4_000.0 and b.table_size() == 1
+    assert e.expiry == 4_000.0 and b.table_sizes() == (1,)
 
 
 def test_interest_aggregates_and_does_not_extend_expiry():
@@ -53,7 +53,7 @@ def test_duplicate_nonce_is_refused_as_loop():
     b.on_interest("a", NdnInterest(OBJ, 111), 0.0)
     out = b.on_interest("x", NdnInterest(OBJ2, 111), 1.0)
     assert out == [("x", Nack(OBJ2, NackCode.LOOP))]
-    assert b.loop_nacks_sent == 1
+    assert b.loop_nacks == 1
 
 
 def test_interest_store_hit_and_anchor_miss_and_no_route():
@@ -85,15 +85,14 @@ def test_data_pops_pit_and_fans_out_in_arrival_order():
     b.on_interest("x", NdnInterest(OBJ, 2), 1.0)
     out = b.on_data("c", DataPacket(OBJ), 2.0)
     assert out == [("a", DataPacket(OBJ)), ("x", DataPacket(OBJ))]
-    assert b.table_size() == 0
+    assert b.table_sizes() == (0,)
     assert b.on_data("c", DataPacket(OBJ), 3.0) is None
     assert b.orphan_data == 1
 
 
 def test_edge_caching_only_when_a_local_consumer_was_waiting():
     _, fibs = line_fibs()
-    b = make("b", fibs, mode=CachingMode.EDGE)
-    b.local_consumers.add("cons1")
+    b = make("b", fibs, mode=CachingMode.EDGE, local_consumers=["cons1"])
     b.on_interest("a", NdnInterest(OBJ, 1), 0.0)       # transit only
     b.on_data("c", DataPacket(OBJ), 1.0)
     assert b.store.get(OBJ) is None
@@ -117,7 +116,7 @@ def test_nacks_are_swallowed():
     b.on_interest("a", NdnInterest(OBJ, 1), 0.0)
     assert b.on_nack("c", Nack(OBJ, NackCode.LOOP), 1.0) is None
     assert b.nacks_dropped == 1
-    assert b.table_size() == 1  # entry lingers until it times out
+    assert b.table_sizes() == (1,)  # entry lingers until it times out
 
 
 def test_expire_pit():
@@ -128,4 +127,4 @@ def test_expire_pit():
     assert b.expire_pit(now=100.0) == 1
     assert OBJ not in b.pit and OBJ2 in b.pit
     assert b.expire_pit(now=150.0) == 1
-    assert b.expired_pit == 2
+    assert b.pit_expired == 2
