@@ -8,8 +8,9 @@ A DART router keeps state per *route in use*, not per in-flight interest:
 * The response-correlation table (RCT) exists only at consumer-facing
   routers and maps each name a local consumer waits for to the set of
   those consumers.  An entry lives from the first ask until its Data or
-  Nack comes back; a consumer that asks again while it waits re-sends the
-  Interest, so a lost response cannot block the name.
+  Nack comes back, or until every consumer in it gives up; a consumer that
+  asks again while it waits re-sends the Interest, so a lost response
+  cannot block the name.
 
 An interest from a neighbour is only accepted if some admissible next hop is
 strictly closer to an anchor than the hop budget the interest carries and is
@@ -35,6 +36,10 @@ from .model import (
     Prefix,
 )
 from .routing import Fib, FibTuple
+
+# on_data tests these per packet; reading a member off an Enum class is a
+# Python-level lookup, about ten times slower than a module global
+ON_PATH, EDGE = CachingMode.ON_PATH, CachingMode.EDGE
 
 
 class DartEntry:
@@ -93,6 +98,15 @@ class DartRouter:
         """(dart entries incl. origin legs, RCT names)."""
         return (len(self.by_succ), len(self.rct))
 
+    def give_up(self, consumer: str, name: Name):
+        """The consumer stopped waiting for ``name``; the RCT entry goes
+        once no consumer waits for it."""
+        waiting = self.rct.get(name)
+        if waiting is not None:
+            waiting.discard(consumer)
+            if not waiting:
+                del self.rct[name]
+
     # -- dart bookkeeping --------------------------------------------------
 
     def table_size(self) -> int:
@@ -139,11 +153,6 @@ class DartRouter:
                 return True
         return False
 
-    def _maybe_cache(self, data: DataPacket, delivered_locally: bool):
-        mode = self.caching_mode
-        if mode is CachingMode.ON_PATH or (mode is CachingMode.EDGE and delivered_locally):
-            self.store.cache(data)
-
     # -- loop refusal ------------------------------------------------------
 
     def dear_check(self, name: Name, hop_count: int,
@@ -172,10 +181,10 @@ class DartRouter:
                 waiting.add(consumer)
                 self.aggregated += 1
                 return []
-            # The consumer already waits here: only its retry, or an ask
-            # after it gave up, gets here, so the response is late or lost
-            # on the way.  Send the Interest again, on a fresh leg if need be.
-        if self._anchored(name):
+            # The consumer already waits here: only its retry gets here, so
+            # the response is late or lost on the way.  Send the Interest
+            # again, on a fresh leg if need be.
+        if self.anchored_prefixes and self._anchored(name):
             return [Emission((consumer, Nack(name, NackCode.NO_CONTENT)))]
         tuples = self.fib.lookup(name)
         if not tuples:
@@ -197,7 +206,7 @@ class DartRouter:
         data = self.store.get(name)
         if data is not None:
             return [Emission((sender, DataPacket(name, interest.dart)))]
-        if self._anchored(name):
+        if self.anchored_prefixes and self._anchored(name):
             return [Emission((sender, Nack(name, NackCode.NO_CONTENT, interest.dart)))]
         leg = self.by_pred.get((sender, interest.dart))
         if leg is not None:
@@ -223,11 +232,14 @@ class DartRouter:
             self.orphan_data += 1
             return None
         leg.last_used = now
+        mode = self.caching_mode
         if leg.predecessor != self.router_id:
-            self._maybe_cache(data, delivered_locally=False)
+            if mode is ON_PATH:
+                self.store.cache(data)
             return [Emission((leg.predecessor, DataPacket(data.name, leg.predecessor_dart)))]
         waiting = self.rct.pop(data.name, None)
-        self._maybe_cache(data, delivered_locally=waiting is not None)
+        if mode is ON_PATH or (mode is EDGE and waiting is not None):
+            self.store.cache(data)
         if waiting is None:
             return []
         return [Emission((c, DataPacket(data.name))) for c in sorted(waiting)]

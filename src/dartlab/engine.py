@@ -19,7 +19,7 @@ import heapq
 import math
 import random
 from bisect import bisect_right
-from collections import deque
+from collections import Counter, deque
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from enum import Enum
@@ -254,9 +254,12 @@ class _Simulation:
         self.sweep_interval_ms = sweep_interval_ms
         self.sample_interval_ms = sample_interval_ms
         self.trace = trace
-        # one-way link delay per (router, neighbour)
+        # one-way link delay per (router, neighbour); sends over the delay
+        # most links share wait in a FIFO instead of the heap (see run)
         self.delays = {r: {n: topology.delay(r, n) for n in topology.neighbors[r]}
                        for r in topology.routers}
+        shared = Counter(topology.links.values()).most_common(1)
+        self.shared_delay = shared[0][0] if shared else None
 
         if consumers is None:
             consumers = {f"c.{r}": r for r in topology.routers}
@@ -374,16 +377,22 @@ class _Simulation:
         from ``self.routers`` here, not at construction, so a router or
         handler swapped in before ``run`` is the one called.
 
+        Events wait in three queues and the loop takes the head that is
+        smallest by (time, seq).  Sends over the delay most links share sit
+        in the ``sends`` FIFO as (time, seq, dst, src, message, chain),
+        retry timers in the ``timers`` FIFO, and all else in the heap as
+        (time, seq, kind, data).  Every entry of a FIFO waits one fixed
+        delay from a non-decreasing now, so a FIFO is already in order.
+
         Cyclic garbage collection is off while the loop runs and is put
         back as the caller had it on every exit.  The loop builds no
         reference cycles, so refcounting frees everything it allocates and
         a collection would only walk live objects."""
         heap, pop, push = self.heap, heapq.heappop, heapq.heappush
-        # Every retry timer waits retry_timeout from a non-decreasing now, so
-        # timers come due in the order they are armed: this FIFO holds them
-        # in (time, seq) order and the loop pops whichever head is smaller.
         timers: deque = deque()
         arm, fire = timers.append, timers.popleft
+        sends: deque = deque()
+        send, take, shared = sends.append, sends.popleft, self.shared_delay
         handlers = {r: node.handlers() for r, node in self.routers.items()}
         dart = self.scheme is Scheme.DART  # which packet a consumer's ask is
         nonce_bits = {r: g.getrandbits for r, g in self._nonce_rng.items()}
@@ -401,17 +410,23 @@ class _Simulation:
         gc.disable()
         try:
             while True:
-                if timers:
-                    if heap and heap[0] < timers[0]:
+                if sends and (not heap or sends[0] < heap[0]) and (
+                        not timers or sends[0] < timers[0]):
+                    now, _, here, sender, in_msg, in_chain = take()
+                    kind = _DELIVER
+                else:
+                    if timers:
+                        if heap and heap[0] < timers[0]:
+                            now, _, kind, data = pop(heap)
+                        else:
+                            now, _, kind, data = fire()
+                    elif heap:
                         now, _, kind, data = pop(heap)
                     else:
-                        now, _, kind, data = fire()
-                elif heap:
-                    now, _, kind, data = pop(heap)
-                else:
-                    break
+                        break
+                    if kind == _DELIVER:
+                        here, sender, in_msg, in_chain = data
                 if kind == _DELIVER:
-                    here, sender, in_msg, in_chain = data
                     mt = type(in_msg)
                     if audit:
                         remember((now, sender, here, in_msg))
@@ -451,6 +466,7 @@ class _Simulation:
                         if rec.attempt >= max_tries:
                             abandoned += len(rec.issues)
                             del open_requests[key]
+                            self.routers[consumer_router[consumer]].give_up(consumer, name)
                             continue
                         rec.attempt += 1
                         retries += 1
@@ -514,7 +530,11 @@ class _Simulation:
                     if write is not None:
                         write(_trace_line(now, here, "TX", m, dst) + "\n")
                     seq += 1
-                    push(heap, (now + delays[here][dst], seq, _DELIVER, (dst, here, m, chain)))
+                    d = delays[here][dst]
+                    if d == shared:
+                        send((now + d, seq, dst, here, m, chain))
+                    else:
+                        push(heap, (now + d, seq, _DELIVER, (dst, here, m, chain)))
 
                 if retry is not None and key in open_requests:
                     seq += 1

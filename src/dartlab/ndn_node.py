@@ -74,6 +74,9 @@ class NdnRouter:
         """(PIT entries,)."""
         return (len(self.pit),)
 
+    def give_up(self, consumer: str, name: Name):
+        """Nothing to forget: a PIT entry expires by its lifetime."""
+
     def preload(self, data: DataPacket):
         self.store.add_owned(data)
 
@@ -101,7 +104,7 @@ class NdnRouter:
             entry.in_records[nonce] = sender
             self.aggregated += 1
             return []
-        if self._anchored(name):
+        if self.anchored_prefixes and self._anchored(name):
             return [Emission((sender, Nack(name, NackCode.NO_CONTENT)))]
         tuples = self.fib.lookup(name)
         nxt = None

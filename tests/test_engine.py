@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import io
 import math
 import re
@@ -20,7 +21,8 @@ from dartlab.engine import (
     run,
     sample_table_sizes,
 )
-from dartlab.experiment import parse_config, run_cell, simulate_cell
+from dartlab import experiment
+from dartlab.experiment import build_topology, parse_config, run_cell, simulate_cell
 from dartlab.model import (
     CachingMode,
     DataPacket,
@@ -239,6 +241,19 @@ def test_a_retry_recovers_a_response_lost_on_the_way():
     assert sent == ["t=0.0 a TX INT", "t=1000.0 a TX INT"]
 
 
+def test_an_abandoned_request_leaves_no_rct_entry():
+    # b drops every Data, so the consumer gives up after max_tries; its
+    # origin must then forget the name instead of keeping it pending
+    topo, fibs = line_topology(3)
+    sim = _Simulation(topo, fibs, Scheme.DART, CachingMode.EDGE,
+                      requests=[(0.0, "c.a", Name.parse("/p/0"))],
+                      consumers={"c.a": "a"}, catalog=catalog(), duration_ms=5000.0)
+    sim.routers["b"].on_data = lambda sender, data, now: None
+    rep = sim.run()
+    assert (rep.delivered, rep.abandoned, rep.retries) == (0, 1, 2)
+    assert sim.routers["a"].rct == {}
+
+
 def test_retry_timer_ties_break_in_push_order(tmp_path):
     # Retry timers wait in their own FIFO beside the heap.  At equal times
     # the event pushed first still runs first: c.2's scripted request is
@@ -253,6 +268,27 @@ def test_retry_timer_ties_break_in_push_order(tmp_path):
                if line.startswith("t=1000.0 a RX INT")]
     assert at_1000 == ["peer=c.2", "peer=c.1"]
     assert rep.retries == 2 and rep.delivered == 2  # each request retried once
+
+
+def test_ties_across_the_three_queues_break_in_push_order(tmp_path):
+    # Four events fall due at t=300, one from each place an event can wait:
+    # c.2's scripted request (heap, pushed at construction), c.1's retry
+    # timer (armed at t=0), c's send to d over a 100 ms link (the delay most
+    # links share, pushed at t=200) and e's send to a over the one 50 ms
+    # link (heap, pushed at t=250).  They must run in that push order.
+    links = {("a", "b"): 100.0, ("b", "c"): 100.0, ("c", "d"): 100.0, ("a", "e"): 50.0}
+    topo = Topology(("a", "b", "c", "d", "e"), links, {P: ("d",)})
+    path = tmp_path / "trace.txt"
+    run(topo, compute_fibs(topo), "dart", "none",
+        requests=[(0.0, "c.1", Name.parse("/p/0")), (300.0, "c.2", Name.parse("/p/1")),
+                  (250.0, "c.3", Name.parse("/p/2"))],
+        consumers={"c.1": "a", "c.2": "a", "c.3": "e"}, catalog=catalog(3),
+        retry_timeout_ms=300.0, duration_ms=1000.0, trace_path=str(path))
+    at_300 = [line.split(" name=")[0] + " " + line.split()[-1]
+              for line in path.read_text().splitlines()
+              if line.startswith("t=300.0 ") and " RX " in line]
+    assert at_300 == ["t=300.0 a RX INT peer=c.2", "t=300.0 a RX INT peer=c.1",
+                      "t=300.0 d RX INT peer=c", "t=300.0 a RX INT peer=e"]
 
 
 def test_warmup_gates_delay_samples():
@@ -435,6 +471,47 @@ def test_report_totals_add_up_the_routers_counters(scheme, positive, monkeypatch
     assert rep.store_evictions == sum(n.store.evictions for n in nodes) > 0
     assert rep.interests_received == {r: n.interests_received for r, n in sim.routers.items()}
     assert min(rep.interests_received.values()) > 0
+
+
+# --- pinned outputs of a mixed-delay cell ------------------------------------------
+
+# SHA-256 of rows() (formatted as the CSV writer formats them) and of the
+# trace text of GC_CELL on a topology where every third link is slower, so
+# sends wait two different delays.  Event-queue changes must keep these.
+MIXED_DELAY_DIGESTS = {
+    ("dart", "edge"): ("abd31f29be224884e68fdf7ad3fdc1daf8fc3eaedcd00d36cb1c172eebbcd6cf",
+                       "35681ccdff43211322372a75a43129c9b56ebee5510615a068d986aef446a54e"),
+    ("dart", "onpath"): ("3dcef971ff906526475ba61819c1eeed0a52f4f6a811c5970bd9c77876afbe08",
+                         "4ba9af3c4655f1929a03359c58b9b622fdea30511c986c8ff0002f0612b2634e"),
+    ("dart", "none"): ("ab4f4596085bda04bfc4398705e5c817e28eeba4c229bbb4a3edd468f6314752",
+                       "eb9d940ddf8c949b637bac5c0b22c1c6bff82898606fb4451c61786bb9709525"),
+    ("ndn", "edge"): ("fd143793af1305748670c2aa4c40da5d36602b5510a32edfecb7c64c877b1378",
+                      "e952ab097a152af36f0f5a6e13a084a2ca6fe5ccee616853fbac0230feed5d62"),
+    ("ndn", "onpath"): ("effc64dac13101b03e70e77d83f120155142b1a106af15c0cb142ad9a8efcdfd",
+                        "03931b2d2ad70a5a552ef845a714006e566e4566b5d3ebc9d081914770c86486"),
+    ("ndn", "none"): ("bc662f7cb8d2b88b82999bd4475466304f3d580d75dd39ed2ffbca45a80c3ac3",
+                      "37a91de8b4ac527de9119fae1f7cd6558c1deb5c3f3b04929d2125c450d61c97"),
+}
+
+
+def _mixed_delay_topology(cfg):
+    # build_topology is the one imported above, not the patched attribute
+    topo = build_topology(cfg)
+    links = {k: 65.0 if i % 3 == 0 else cfg.link_delay_ms
+             for i, k in enumerate(sorted(topo.links))}
+    return Topology(topo.routers, links, topo.anchors, topo.positions)
+
+
+@pytest.mark.parametrize("caching", ["edge", "onpath", "none"])
+@pytest.mark.parametrize("scheme", ["dart", "ndn"])
+def test_mixed_delay_cell_outputs_are_pinned(scheme, caching, tmp_path, monkeypatch):
+    monkeypatch.setattr(experiment, "build_topology", _mixed_delay_topology)
+    path = tmp_path / "trace.txt"
+    rep = simulate_cell(parse_config(GC_CELL), scheme, caching, 50.0, 1, str(path))
+    rows = "".join(",".join(experiment._fmt(v) for v in row) + "\n" for row in rep.rows())
+    got = (hashlib.sha256(rows.encode()).hexdigest(),
+           hashlib.sha256(path.read_bytes()).hexdigest())
+    assert got == MIXED_DELAY_DIGESTS[(scheme, caching)]
 
 
 @pytest.mark.parametrize("audit_fails", [False, True])
