@@ -209,13 +209,17 @@ class _OpenRequest:
         self.issues = [now]
 
 
-_MSG_KIND = {Interest: "INT", NdnInterest: "INT", DataPacket: "DATA", Nack: "NACK"}
+# a DART consumer's ask is a bare Name, traced as an Interest with no hop
+# budget and no route token
+_MSG_KIND = {Name: "INT", Interest: "INT", NdnInterest: "INT", DataPacket: "DATA", Nack: "NACK"}
 
 
 def _trace_fields(msg) -> str:
     t = type(msg)
+    if t is Name:
+        return f"name={_esc_name(msg)} h=- dart=-"
     if t is Interest:
-        return f"name={_esc_name(msg.name)} h={msg.hop_count if msg.hop_count is not None else '-'} dart={msg.dart if msg.dart is not None else '-'}"
+        return f"name={_esc_name(msg.name)} h={msg.hop_count} dart={msg.dart}"
     if t is NdnInterest:
         return f"name={_esc_name(msg.name)} h=- dart={msg.nonce}"
     d = msg.dart if msg.dart is not None else "-"
@@ -234,7 +238,7 @@ class _Simulation:
                  dart_ttl_ms=10_000.0, pit_lifetime_ms=4_000.0,
                  sweep_interval_ms=1_000.0, sample_interval_ms=100.0,
                  warmup_fraction=0.1, retry_timeout_ms=1_000.0, max_tries=3,
-                 store_capacity=None, duration_ms=None, seed=0):
+                 store_capacity=None, duration_ms=None):
         if workload is not None and requests is not None:
             raise ValueError("pass either a workload or scripted requests, not both")
         if catalog is None:
@@ -290,7 +294,7 @@ class _Simulation:
                     node.preload(DataPacket(n))
 
         # a consumer's NDN Interest carries a nonce from its router's generator
-        workload_seed = workload.seed if workload is not None else seed
+        workload_seed = workload.seed if workload is not None else 0
         self._nonce_rng = {r: random.Random(f"nonce:{workload_seed}:{r}")
                            for r in topology.routers} if scheme is Scheme.NDN else {}
 
@@ -478,11 +482,11 @@ class _Simulation:
                             push(heap, (due, seq, kind, None))
                         continue
                     # the consumer's Interest reaches its router at once: to
-                    # DART a bare Name (the packet is built only for the trace)
+                    # DART a bare Name
                     here = consumer_router[consumer]
                     if dart:
                         if write is not None:
-                            write(_trace_line(now, here, "RX", Interest(name), consumer) + "\n")
+                            write(_trace_line(now, here, "RX", name, consumer) + "\n")
                         ems = handlers[here][Name](consumer, name, now)
                     else:
                         ask = NdnInterest(name, nonce_bits[here](64))

@@ -154,7 +154,7 @@ def build_catalog(cfg: ExperimentConfig, topology: Topology) -> List[Name]:
     """Popularity rank k maps to producer prefix k mod P, so hot objects are
     spread across producers instead of piling onto one anchor."""
     prefixes = sorted(topology.anchors)
-    return [Name((*prefixes[k % len(prefixes)].components, f"o{k:05d}"))
+    return [Name((*prefixes[k % len(prefixes)], f"o{k:05d}"))
             for k in range(cfg.catalog)]
 
 
@@ -248,8 +248,6 @@ def _read_cell(path: Path) -> Dict:
     per_router_sizes = []
     interests = 0
     delay_mean = None
-    delay_count = 0
-    totals = {}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != list(CSV_HEADER):
@@ -258,24 +256,18 @@ def _read_cell(path: Path) -> Dict:
             metric, router = row["metric"], row["router"]
             value = float(row["value"])
             if router == "*":
-                totals[metric] = value
                 if metric == "delay_mean_ms":
                     delay_mean = value
-                elif metric == "delay_count":
-                    delay_count = int(value)
-            else:
-                if metric == "table_size_mean":
-                    per_router_sizes.append(value)
-                elif metric == "interests_received":
-                    interests += int(value)
+            elif metric == "table_size_mean":
+                per_router_sizes.append(value)
+            elif metric == "interests_received":
+                interests += int(value)
     if not per_router_sizes:
         raise ConfigError(f"{path.name}: no per-router table size rows")
     return {
         "table_size_mean": sum(per_router_sizes) / len(per_router_sizes),
         "interests": interests,
         "delay_mean_ms": delay_mean,
-        "delay_count": delay_count,
-        "totals": totals,
     }
 
 

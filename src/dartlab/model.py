@@ -19,33 +19,37 @@ class NameError_(ValueError):
     """Malformed name or prefix."""
 
 
-class Name:
-    """Hierarchical content name, e.g. ``/video/cats/seg3``.
+def _checked(cls, components: Iterable[str]) -> tuple:
+    """A ``cls`` tuple of ``components``, each non-empty and free of ``/``."""
+    comps = tuple.__new__(cls, components)
+    for c in comps:
+        if not c:
+            raise NameError_(f"empty {cls.__name__.lower()} component")
+        if "/" in c:
+            raise NameError_(f"component contains separator: {c!r}")
+    return comps
 
-    Immutable, hashable, totally ordered by component tuple.  Components are
-    non-empty strings and must not contain ``/`` (the separator).  The hash
-    is cached: names are compared constantly in table lookups.
+
+class Name(tuple):
+    """Hierarchical content name, e.g. ``/video/cats/seg3``: the tuple of its
+    components.  Components are non-empty strings and must not contain ``/``
+    (the separator).
+
+    Being a tuple gives hashing, equality, ordering and pickling in C.  Two
+    facts keep that safe: a name hashes as the tuple of its components, so
+    table orders (and so output bytes) are those of plain tuple keys; and a
+    name equals a ``Prefix`` or plain tuple with the same components, which
+    no table mixes (FIBs are keyed by prefix; stores, RCT, PIT and open
+    requests by name).
     """
 
-    __slots__ = ("components", "_hash")
+    __slots__ = ()
 
-    def __init__(self, components: Iterable[str]):
-        comps = tuple(components)
+    def __new__(cls, components: Iterable[str]):
+        comps = _checked(cls, components)
         if not comps:
             raise NameError_("name needs at least one component")
-        for c in comps:
-            if not c:
-                raise NameError_("empty name component")
-            if "/" in c:
-                raise NameError_(f"component contains separator: {c!r}")
-        object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "_hash", hash(comps))
-
-    def __setattr__(self, *a):  # pragma: no cover - defensive
-        raise AttributeError("Name is immutable")
-
-    def __reduce__(self):
-        return (type(self), (self.components,))
+        return comps
 
     @classmethod
     def parse(cls, text: str) -> "Name":
@@ -54,44 +58,20 @@ class Name:
         return cls(text[1:].split("/"))
 
     def __str__(self):
-        return "/" + "/".join(self.components)
+        return "/" + "/".join(self)
 
     def __repr__(self):
         return f"Name({str(self)!r})"
 
-    def __hash__(self):
-        return self._hash
 
-    def __eq__(self, other):
-        return isinstance(other, Name) and self.components == other.components
+class Prefix(tuple):
+    """Leading subsequence of name components, as a tuple like ``Name``.
+    May be empty (matches all)."""
 
-    def __lt__(self, other):
-        return self.components < other.components
+    __slots__ = ()
 
-    def __le__(self, other):
-        return self.components <= other.components
-
-
-class Prefix:
-    """Leading subsequence of name components.  May be empty (matches all)."""
-
-    __slots__ = ("components", "_hash")
-
-    def __init__(self, components: Iterable[str] = ()):
-        comps = tuple(components)
-        for c in comps:
-            if not c:
-                raise NameError_("empty prefix component")
-            if "/" in c:
-                raise NameError_(f"component contains separator: {c!r}")
-        object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "_hash", hash(comps))
-
-    def __setattr__(self, *a):  # pragma: no cover - defensive
-        raise AttributeError("Prefix is immutable")
-
-    def __reduce__(self):
-        return (type(self), (self.components,))
+    def __new__(cls, components: Iterable[str] = ()):
+        return _checked(cls, components)
 
     @classmethod
     def parse(cls, text: str) -> "Prefix":
@@ -101,27 +81,19 @@ class Prefix:
             return cls(())
         return cls(text[1:].split("/"))
 
-    def matches(self, name: Name) -> bool:
-        n = len(self.components)
-        return name.components[:n] == self.components
+    @property
+    def components(self) -> tuple:
+        """The plain component tuple (perfbench/stale.py reads it)."""
+        return tuple(self)
 
-    def __len__(self):
-        return len(self.components)
+    def matches(self, name: Name) -> bool:
+        return name[:len(self)] == self
 
     def __str__(self):
-        return "/" + "/".join(self.components)
+        return "/" + "/".join(self)
 
     def __repr__(self):
         return f"Prefix({str(self)!r})"
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return isinstance(other, Prefix) and self.components == other.components
-
-    def __lt__(self, other):
-        return self.components < other.components
 
 
 # Route tokens are plain ints drawn from a 32-bit space; 0 is never issued.
@@ -143,19 +115,17 @@ class CachingMode(Enum):
 
 @dataclass(frozen=True, slots=True)
 class Interest:
-    """DART interest.  Consumer-originated interests carry neither a hop
-    budget nor a route token; router-to-router interests carry both."""
+    """Router-to-router DART interest: a hop budget and a route token.  A
+    consumer's ask reaches its router as a bare ``Name``."""
 
     name: Name
-    hop_count: Optional[int] = None
-    dart: Optional[Dart] = None
+    hop_count: int
+    dart: Dart
 
     def __post_init__(self):
-        if (self.hop_count is None) != (self.dart is None):
-            raise ValueError("hop_count and dart must be set together")
-        if self.hop_count is not None and self.hop_count < 1:
+        if self.hop_count < 1:
             raise ValueError("hop_count must be >= 1")
-        if self.dart is not None and not (1 <= self.dart <= MAX_DART):
+        if not (1 <= self.dart <= MAX_DART):
             raise ValueError("dart out of range")
 
 
@@ -195,7 +165,7 @@ class Emission(tuple):
 # single-line ASCII whatever the component strings hold.
 
 def _esc_name(name: Name) -> str:
-    return "/" + "/".join(quote(c, safe="") for c in name.components)
+    return "/" + "/".join(quote(c, safe="") for c in name)
 
 
 class ContentStore:

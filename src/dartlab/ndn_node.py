@@ -25,6 +25,9 @@ from .model import (
 )
 from .routing import Fib
 
+# on_data tests these per packet; module globals, as in dart_node
+ON_PATH, EDGE = CachingMode.ON_PATH, CachingMode.EDGE
+
 
 class PitEntry:
     __slots__ = ("in_records", "expiry")
@@ -129,11 +132,9 @@ class NdnRouter:
         # Data carries no per-hop state here, so the packet itself travels on
         out = [Emission((iface, data)) for iface in entry.in_records.values()]
         mode = self.caching_mode
-        if mode is CachingMode.ON_PATH:
+        if mode is ON_PATH or (mode is EDGE and
+                               not self.local_consumers.isdisjoint(entry.in_records.values())):
             self.store.cache(data)
-        elif mode is CachingMode.EDGE:
-            if any(iface in self.local_consumers for iface in entry.in_records.values()):
-                self.store.cache(data)
         return out
 
     def on_nack(self, sender: str, nack: Nack, now: float) -> None:

@@ -125,15 +125,14 @@ class Fib:
 
     def __init__(self, entries: Dict[Prefix, Tuple[FibTuple, ...]]):
         self.entries = dict(entries)
-        by_len: Dict[int, Dict[tuple, Tuple[FibTuple, ...]]] = {}
+        by_len: Dict[int, Dict[Prefix, Tuple[FibTuple, ...]]] = {}
         for prefix, tuples in self.entries.items():
-            by_len.setdefault(len(prefix), {})[prefix.components] = tuples
+            by_len.setdefault(len(prefix), {})[prefix] = tuples
         self._probe = sorted(by_len.items(), key=lambda kv: -kv[0])
 
     def lookup(self, name: Name) -> Optional[Tuple[FibTuple, ...]]:
-        comps = name.components
         for length, table in self._probe:
-            hit = table.get(comps[:length])
+            hit = table.get(name[:length])
             if hit is not None:
                 return hit
         return None
