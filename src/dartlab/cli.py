@@ -75,6 +75,9 @@ def cmd_run(args) -> int:
     except AuditError as e:
         print(f"{e}", file=sys.stderr)
         return AUDIT_VIOLATION
+    except OSError as e:
+        print(f"cannot write output: {e}", file=sys.stderr)
+        return CONFIG_ERROR
     print(f"wrote {len(names)} cells to {args.out}")
     for n in names:
         print(f"  {n}")
@@ -85,10 +88,13 @@ def cmd_run(args) -> int:
 def cmd_compare(args) -> int:
     try:
         lines, summary = compare_dir(args.dir)
+        out = write_comparison_csv(args.dir, summary)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return CONFIG_ERROR
-    out = write_comparison_csv(args.dir, summary)
+    except OSError as e:
+        print(f"i/o error: {e}", file=sys.stderr)
+        return CONFIG_ERROR
     for line in lines:
         print(line)
     print(f"wrote {out}")
@@ -104,7 +110,11 @@ def cmd_scenario(args) -> int:
     for line in result.lines:
         print(line)
     if args.trace:
-        Path(args.trace).write_text("\n".join(result.trace) + "\n")
+        try:
+            Path(args.trace).write_text("\n".join(result.trace) + "\n")
+        except OSError as e:
+            print(f"cannot write output: {e}", file=sys.stderr)
+            return CONFIG_ERROR
         print(f"trace written to {args.trace}")
     if not result.passed:
         print("--- trace ---", file=sys.stderr)

@@ -64,16 +64,15 @@ class DartRouter:
     TOTALS = ("aggregated", "loop_nacks", "orphan_data", "orphan_nack", "dart_evicted")
 
     def __init__(self, router_id: str, fib: Fib,
-                 anchored_prefixes: Tuple[Prefix, ...] = (),
+                 anchored: Tuple[Prefix, ...] = (),
                  caching_mode: CachingMode = CachingMode.EDGE,
                  dart_ttl_ms: float = 10_000.0,
                  store_capacity: Optional[int] = None):
         self.router_id = router_id
         self.fib = fib
-        self.anchored_prefixes = tuple(anchored_prefixes)
         self.caching_mode = caching_mode
         self.dart_ttl_ms = dart_ttl_ms
-        self.store = ContentStore(store_capacity)
+        self.store = ContentStore(store_capacity, anchored)
         self.rct: Dict[Name, Set[str]] = {}
         # every live entry appears in both indexes; origin legs also in _origin
         self.by_pred: Dict[Tuple[str, int], DartEntry] = {}
@@ -90,6 +89,11 @@ class DartRouter:
         """{packet type: bound handler}; a consumer's ask is a bare Name."""
         return {Name: self.on_local_interest, Interest: self.on_neighbor_interest,
                 DataPacket: self.on_data, Nack: self.on_nack}
+
+    def ask(self, name: Name) -> Name:
+        """The packet a local consumer's ask for ``name`` arrives as: the
+        bare Name, with no hop budget and no route token."""
+        return name
 
     def sweep(self, now: float) -> int:
         return self.evict_darts(now)
@@ -142,27 +146,14 @@ class DartRouter:
         self.dart_evicted += len(stale)
         return len(stale)
 
-    # -- content -----------------------------------------------------------
-
-    def preload(self, data: DataPacket):
-        self.store.add_owned(data)
-
-    def _anchored(self, name: Name) -> bool:
-        for p in self.anchored_prefixes:
-            if p.matches(name):
-                return True
-        return False
-
     # -- loop refusal ------------------------------------------------------
 
-    def dear_check(self, name: Name, hop_count: int,
+    def dear_check(self, tuples: Tuple[FibTuple, ...], hop_count: int,
                    exclude: Optional[str] = None) -> Optional[FibTuple]:
-        """Best-ranked next hop strictly closer to an anchor than the given
-        hop budget, skipping ``exclude``.  None means the interest must be
-        refused: no admissible hop makes forward progress."""
-        tuples = self.fib.lookup(name)
-        if not tuples:
-            return None
+        """Best-ranked of ``tuples`` (the name's FIB entry) strictly closer
+        to an anchor than the given hop budget, skipping ``exclude``.  None
+        means the interest must be refused: no admissible hop makes forward
+        progress."""
         for t in tuples:
             if t.distance < hop_count and t.next_hop != exclude:
                 return t
@@ -184,7 +175,7 @@ class DartRouter:
             # The consumer already waits here: only its retry gets here, so
             # the response is late or lost on the way.  Send the Interest
             # again, on a fresh leg if need be.
-        if self.anchored_prefixes and self._anchored(name):
+        if self.store.anchors(name):
             return [Emission((consumer, Nack(name, NackCode.NO_CONTENT)))]
         tuples = self.fib.lookup(name)
         if not tuples:
@@ -206,16 +197,17 @@ class DartRouter:
         data = self.store.get(name)
         if data is not None:
             return [Emission((sender, DataPacket(name, interest.dart)))]
-        if self.anchored_prefixes and self._anchored(name):
+        if self.store.anchors(name):
             return [Emission((sender, Nack(name, NackCode.NO_CONTENT, interest.dart)))]
         leg = self.by_pred.get((sender, interest.dart))
         if leg is not None:
             # route already vetted when the entry was created
             leg.last_used = now
             return [Emission((leg.successor, Interest(name, leg.hop_count, leg.successor_dart)))]
-        if self.fib.lookup(name) is None:
+        tuples = self.fib.lookup(name)
+        if not tuples:
             return [Emission((sender, Nack(name, NackCode.NO_ROUTE, interest.dart)))]
-        t = self.dear_check(name, interest.hop_count, exclude=sender)
+        t = self.dear_check(tuples, interest.hop_count, exclude=sender)
         if t is None:
             self.loop_nacks += 1
             return [Emission((sender, Nack(name, NackCode.LOOP, interest.dart)))]

@@ -21,7 +21,7 @@ import random
 from bisect import bisect_right
 from collections import Counter, deque
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -68,6 +68,11 @@ class AuditError(Exception):
             *(f"    {line}" for line in recent),
         ])
         super().__init__(detail)
+
+    def __reduce__(self):
+        # rebuilt from the five fields, so a pool worker's violation reaches
+        # the parent as itself
+        return (type(self), (self.kind, self.router, self.message, self.chain, self.recent))
 
 
 @dataclass(frozen=True)
@@ -186,10 +191,7 @@ class MetricsReport:
                 add(r, "delay_mean_ms", self.delay_mean_ms[r])
         add("*", "table_size_router_mean", self.table_size_router_mean)
         add("*", "table_size_router_std", self.table_size_router_std)
-        for metric in ("requests", "delivered", "nacked", "abandoned", "retries",
-                       "aggregated", "loop_nacks", "orphan_data", "orphan_nack",
-                       "dart_evicted", "pit_expired", "store_evictions",
-                       "nacks_dropped"):
+        for metric in _TOTAL_FIELDS:
             add("*", metric, getattr(self, metric))
         for code in sorted(self.nacked_by_code):
             add("*", f"nacked_{code}", self.nacked_by_code[code])
@@ -198,6 +200,10 @@ class MetricsReport:
         if overall is not None:
             add("*", "delay_mean_ms", overall)
         return out
+
+
+# the report's totals, in field order: the fields whose default is an int
+_TOTAL_FIELDS = tuple(f.name for f in fields(MetricsReport) if type(f.default) is int)
 
 
 class _OpenRequest:
@@ -245,13 +251,14 @@ class _Simulation:
             raise ValueError("catalog of content names is required")
         if workload is not None and len(catalog) < workload.catalog_size:
             raise ValueError("catalog smaller than workload.catalog_size")
+        if workload is None and duration_ms is None:
+            raise ValueError("duration_ms is required without a workload")
         # a non-positive period would re-arm its timer at or before now forever
         for key, value in (("sweep_interval_ms", sweep_interval_ms),
                            ("sample_interval_ms", sample_interval_ms),
                            ("retry_timeout_ms", retry_timeout_ms)):
             if not value > 0:
                 raise ValueError(f"{key} must be > 0, got {value}")
-        self.scheme = scheme
         self.catalog: List[Name] = list(catalog)
         self.max_tries = max_tries
         self.retry_timeout_ms = retry_timeout_ms
@@ -279,30 +286,25 @@ class _Simulation:
         self.routers: Dict[str, object] = {}
         for r in topology.routers:
             if scheme is Scheme.DART:
-                node = DartRouter(r, fibs[r], tuple(anchored[r]), caching_mode,
+                node = DartRouter(r, fibs[r], anchored[r], caching_mode,
                                   dart_ttl_ms=dart_ttl_ms, store_capacity=store_capacity)
             else:
-                node = NdnRouter(r, fibs[r], tuple(anchored[r]), caching_mode,
+                node = NdnRouter(r, fibs[r], anchored[r], caching_mode,
                                  pit_lifetime_ms=pit_lifetime_ms, store_capacity=store_capacity,
-                                 local_consumers=[c for c, rr in consumers.items() if rr == r])
+                                 local_consumers=[c for c, rr in consumers.items() if rr == r],
+                                 nonce_seed=workload.seed if workload is not None else 0)
             self.routers[r] = node
         for prefix, anchors in topology.anchors.items():
             owned = [n for n in self.catalog if prefix.matches(n)]
             for a in anchors:
-                node = self.routers[a]
+                store = self.routers[a].store
                 for n in owned:
-                    node.preload(DataPacket(n))
-
-        # a consumer's NDN Interest carries a nonce from its router's generator
-        workload_seed = workload.seed if workload is not None else 0
-        self._nonce_rng = {r: random.Random(f"nonce:{workload_seed}:{r}")
-                           for r in topology.routers} if scheme is Scheme.NDN else {}
+                    store.add_owned(DataPacket(n))
 
         # Initial events as (time, kind, data).  A workload request carries
         # its consumer's stream: the loop pulls that consumer's next request
         # when it pops this one, so each consumer has at most one pending.
         events = []
-        last_request_ms = 0.0
         if workload is not None:
             cum = zipf_cumulative(workload.zipf_alpha, workload.catalog_size)
             for consumer in sorted(self.consumer_router):
@@ -316,14 +318,9 @@ class _Simulation:
                 if consumer not in self.consumer_router:
                     raise ValueError(f"unknown consumer in script: {consumer}")
                 events.append((t, _REQUEST, (consumer, name, None)))
-                last_request_ms = max(last_request_ms, t)
 
-        if duration_ms is not None:
-            self.horizon_ms = float(duration_ms)
-        elif workload is not None:
-            self.horizon_ms = workload.duration * 1000.0
-        else:
-            self.horizon_ms = last_request_ms + 1.0
+        self.horizon_ms = (float(duration_ms) if duration_ms is not None
+                           else workload.duration * 1000.0)
         self.warmup_ms = self.horizon_ms * warmup_fraction
 
         if sweep_interval_ms <= self.horizon_ms:
@@ -398,8 +395,7 @@ class _Simulation:
         sends: deque = deque()
         send, take, shared = sends.append, sends.popleft, self.shared_delay
         handlers = {r: node.handlers() for r, node in self.routers.items()}
-        dart = self.scheme is Scheme.DART  # which packet a consumer's ask is
-        nonce_bits = {r: g.getrandbits for r, g in self._nonce_rng.items()}
+        asks = {r: node.ask for r, node in self.routers.items()}
         consumer_router, delays, catalog = self.consumer_router, self.delays, self.catalog
         rep, open_requests, delay_sum = self.report, self.open, self.delay_sum
         delay_count, nacked_by_code = rep.delay_count, rep.nacked_by_code
@@ -481,18 +477,13 @@ class _Simulation:
                             seq += 1
                             push(heap, (due, seq, kind, None))
                         continue
-                    # the consumer's Interest reaches its router at once: to
-                    # DART a bare Name
+                    # the consumer's ask reaches its router at once, as the
+                    # packet the router makes of it
                     here = consumer_router[consumer]
-                    if dart:
-                        if write is not None:
-                            write(_trace_line(now, here, "RX", name, consumer) + "\n")
-                        ems = handlers[here][Name](consumer, name, now)
-                    else:
-                        ask = NdnInterest(name, nonce_bits[here](64))
-                        if write is not None:
-                            write(_trace_line(now, here, "RX", ask, consumer) + "\n")
-                        ems = handlers[here][NdnInterest](consumer, ask, now)
+                    ask = asks[here](name)
+                    if write is not None:
+                        write(_trace_line(now, here, "RX", ask, consumer) + "\n")
+                    ems = handlers[here][type(ask)](consumer, ask, now)
                     in_msg, in_chain = None, ()
 
                 # Emission routing: a consumer sits on its router and gets its

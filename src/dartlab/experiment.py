@@ -21,8 +21,8 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from . import __version__
-from .engine import MetricsReport, WorkloadSpec, run
-from .model import Name, Prefix
+from .engine import MetricsReport, Scheme, WorkloadSpec, run
+from .model import CachingMode, Name, Prefix
 from .routing import Topology, compute_fibs, generate_topology
 
 
@@ -87,12 +87,12 @@ class ExperimentConfig:
         for key in ("schemes", "caching", "rates", "seeds"):
             need(0 < len(set(getattr(self, key))) == len(getattr(self, key)), key,
                  "non-empty and free of duplicates")
-        for sch in self.schemes:
-            if sch not in ("dart", "ndn"):
-                raise ConfigError(f"unknown scheme {sch!r}")
-        for ca in self.caching:
-            if ca not in ("edge", "onpath", "none"):
-                raise ConfigError(f"unknown caching mode {ca!r}")
+        for key, kind, what in (("schemes", Scheme, "scheme"),
+                                ("caching", CachingMode, "caching mode")):
+            known = {m.value for m in kind}
+            for value in getattr(self, key):
+                if value not in known:
+                    raise ConfigError(f"unknown {what} {value!r}")
 
     def cells(self) -> List[Tuple[str, str, float, int]]:
         return [(sch, ca, rate, seed)
@@ -100,13 +100,22 @@ class ExperimentConfig:
                 for rate in self.rates for seed in self.seeds]
 
 
-_LIST_FIELDS = {"schemes", "caching", "rates", "seeds"}
-_BOOL_FIELDS = {"audit"}
+def _parse_value(default, value: str):
+    """``value`` read as the type of the field's ``default``: a tuple is a
+    comma list of its first item's type, a bool is on/off."""
+    if isinstance(default, tuple):
+        kind = type(default[0])
+        return tuple(kind(v.strip()) for v in value.split(",") if v.strip())
+    if isinstance(default, bool):
+        if value not in ("on", "off", "true", "false"):
+            raise ValueError("expected on/off")
+        return value in ("on", "true")
+    return type(default)(value)
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    types = {f.name: f.type for f in fields(ExperimentConfig)}
     base = ExperimentConfig()
+    keys = {f.name for f in fields(base)}
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -116,23 +125,10 @@ def parse_config(text: str) -> ExperimentConfig:
         key, value = key.strip(), value.strip()
         if not eq or not value:
             raise ConfigError(f"line {lineno}: expected key = value, got {raw!r}")
-        if key not in types:
+        if key not in keys:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         try:
-            if key in _LIST_FIELDS:
-                items = [v.strip() for v in value.split(",") if v.strip()]
-                if key == "rates":
-                    values[key] = tuple(float(v) for v in items)
-                elif key == "seeds":
-                    values[key] = tuple(int(v) for v in items)
-                else:
-                    values[key] = tuple(items)
-            elif key in _BOOL_FIELDS:
-                if value not in ("on", "off", "true", "false"):
-                    raise ValueError("expected on/off")
-                values[key] = value in ("on", "true")
-            else:
-                values[key] = type(getattr(base, key))(value)
+            values[key] = _parse_value(getattr(base, key), value)
         except ValueError as e:
             raise ConfigError(f"line {lineno}: bad value for {key}: {e}") from None
     return replace(base, **values)
@@ -254,14 +250,20 @@ def _read_cell(path: Path) -> Dict:
             raise ConfigError(f"{path.name}: unexpected CSV header {reader.fieldnames}")
         for row in reader:
             metric, router = row["metric"], row["router"]
-            value = float(row["value"])
-            if router == "*":
-                if metric == "delay_mean_ms":
-                    delay_mean = value
-            elif metric == "table_size_mean":
-                per_router_sizes.append(value)
-            elif metric == "interests_received":
-                interests += int(value)
+            try:
+                value = float(row["value"])
+                if router == "*":
+                    if metric == "delay_mean_ms":
+                        delay_mean = value
+                elif metric == "table_size_mean":
+                    per_router_sizes.append(value)
+                elif metric == "interests_received":
+                    interests += int(value)
+            except (TypeError, ValueError, OverflowError):
+                # a short row reads its missing fields as None, and an
+                # infinite count has no int
+                raise ConfigError(f"{path.name}: line {reader.line_num}: "
+                                  f"bad value {row['value']!r}") from None
     if not per_router_sizes:
         raise ConfigError(f"{path.name}: no per-router table size rows")
     return {

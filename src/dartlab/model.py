@@ -173,13 +173,23 @@ class ContentStore:
 
     Owned entries (the router is the object's anchor) never age out.  Cached
     entries are bounded by ``capacity`` (None = unbounded) and evicted LRU.
+    ``anchored`` are the prefixes the router anchors: an ask under one of
+    them that the store cannot answer names no content.
     """
 
-    def __init__(self, capacity: Optional[int] = None):
+    def __init__(self, capacity: Optional[int] = None, anchored: Iterable[Prefix] = ()):
         self.capacity = capacity
+        self.anchored = tuple(anchored)
         self.owned: dict[Name, DataPacket] = {}
         self.cached: "OrderedDict[Name, DataPacket]" = OrderedDict()
         self.evictions = 0
+
+    def anchors(self, name: Name) -> bool:
+        """Whether the router anchors a prefix of ``name``."""
+        for p in self.anchored:
+            if p.matches(name):
+                return True
+        return False
 
     def add_owned(self, data: DataPacket):
         self.owned[data.name] = data

@@ -10,6 +10,7 @@ consumer behind a refused interest simply waits for its timeout.
 
 from __future__ import annotations
 
+import random
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from .model import (
@@ -44,21 +45,23 @@ class NdnRouter:
     TOTALS = ("aggregated", "loop_nacks", "orphan_data", "pit_expired", "nacks_dropped")
 
     def __init__(self, router_id: str, fib: Fib,
-                 anchored_prefixes: Tuple[Prefix, ...] = (),
+                 anchored: Tuple[Prefix, ...] = (),
                  caching_mode: CachingMode = CachingMode.EDGE,
                  pit_lifetime_ms: float = 4_000.0,
                  store_capacity: Optional[int] = None,
-                 local_consumers: Iterable[str] = ()):
+                 local_consumers: Iterable[str] = (),
+                 nonce_seed: object = 0):
         self.router_id = router_id
         self.fib = fib
-        self.anchored_prefixes = tuple(anchored_prefixes)
         self.caching_mode = caching_mode
         self.pit_lifetime_ms = pit_lifetime_ms
-        self.store = ContentStore(store_capacity)
+        self.store = ContentStore(store_capacity, anchored)
         self.pit: Dict[Name, PitEntry] = {}
         # consumers attached here: edge caching keeps Data that one of them asked for
         self.local_consumers = frozenset(local_consumers)
         self.seen_nonces: Set[int] = set()
+        # a local consumer's Interest carries a nonce from this generator
+        self._nonce_bits = random.Random(f"nonce:{nonce_seed}:{router_id}").getrandbits
         self.interests_received = 0
         for key in self.TOTALS:
             setattr(self, key, 0)
@@ -70,6 +73,11 @@ class NdnRouter:
         like a neighbour's."""
         return {NdnInterest: self.on_interest, DataPacket: self.on_data, Nack: self.on_nack}
 
+    def ask(self, name: Name) -> NdnInterest:
+        """The packet a local consumer's ask for ``name`` arrives as: an
+        Interest with a fresh 64-bit nonce."""
+        return NdnInterest(name, self._nonce_bits(64))
+
     def sweep(self, now: float) -> int:
         return self.expire_pit(now)
 
@@ -79,15 +87,6 @@ class NdnRouter:
 
     def give_up(self, consumer: str, name: Name):
         """Nothing to forget: a PIT entry expires by its lifetime."""
-
-    def preload(self, data: DataPacket):
-        self.store.add_owned(data)
-
-    def _anchored(self, name: Name) -> bool:
-        for p in self.anchored_prefixes:
-            if p.matches(name):
-                return True
-        return False
 
     def on_interest(self, sender: str, interest: NdnInterest, now: float) -> List[Emission]:
         """Handle an interest from ``sender`` — a neighbour router or a local
@@ -107,7 +106,7 @@ class NdnRouter:
             entry.in_records[nonce] = sender
             self.aggregated += 1
             return []
-        if self.anchored_prefixes and self._anchored(name):
+        if self.store.anchors(name):
             return [Emission((sender, Nack(name, NackCode.NO_CONTENT)))]
         tuples = self.fib.lookup(name)
         nxt = None

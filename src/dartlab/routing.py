@@ -137,12 +137,6 @@ class Fib:
                 return hit
         return None
 
-    def prefixes(self):
-        return self.entries.keys()
-
-    def tuples(self, prefix: Prefix) -> Tuple[FibTuple, ...]:
-        return self.entries[prefix]
-
 
 def compute_fibs(topology: Topology,
                  exclude_links: Iterable[Tuple[str, str]] = ()) -> Dict[str, Fib]:
@@ -205,7 +199,7 @@ def override_rankings(fibs: Dict[str, Fib], router: str, prefix: Prefix,
                       order: List[str]) -> Dict[str, Fib]:
     """Pure: new FIB set where ``router``'s tuples for ``prefix`` are
     re-ranked to the given next-hop order (distances untouched)."""
-    current = {t.next_hop: t for t in fibs[router].tuples(prefix)}
+    current = {t.next_hop: t for t in fibs[router].entries[prefix]}
     if set(order) != set(current) or len(order) != len(current):
         raise ValueError(f"order must be a permutation of {sorted(current)}")
     tuples = tuple(
@@ -238,8 +232,8 @@ def inject_stale_distances(fibs: Dict[str, Fib],
 def dump_fibs(fibs: Dict[str, Fib]) -> List[str]:
     lines = []
     for router in sorted(fibs):
-        fib = fibs[router]
-        for prefix in sorted(fib.prefixes()):
-            for t in fib.tuples(prefix):
+        entries = fibs[router].entries
+        for prefix in sorted(entries):
+            for t in entries[prefix]:
                 lines.append(f"fib {router} {prefix} {t.rank} {t.next_hop} {t.distance} {t.anchor}")
     return lines

@@ -1,5 +1,6 @@
 import io
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -12,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dartlab import cli
+from dartlab.dart_node import DartRouter
 from dartlab.engine import AuditError
+from dartlab.model import Emission, Interest
 
 CFG = """\
 nodes = 2
@@ -116,6 +119,51 @@ def test_audit_violation_maps_to_exit_2(tmp_path, monkeypatch, capsys):
     cfg = write_cfg(tmp_path)
     assert cli.main(["run", cfg, "--out", str(tmp_path / "x")]) == 2
     assert "audit violation" in capsys.readouterr().err
+
+
+def _corrupt_row(tmp_path, spoil):
+    out = tmp_path / "results"
+    assert cli.main(["run", write_cfg(tmp_path), "--out", str(out)]) == 0
+    csv_path = next(out.glob("metrics_dart_*.csv"))
+    lines = csv_path.read_text().splitlines()
+    n = next(i for i, line in enumerate(lines) if ",interests_received," in line)
+    lines[n] = spoil(lines[n])
+    csv_path.write_text("\n".join(lines) + "\n")
+    return ["compare", str(out)], f"{csv_path.name}: line {n + 1}"
+
+
+@pytest.mark.parametrize("case", [
+    lambda tmp: (["run", write_cfg(tmp), "--out", write_cfg(tmp)], "File exists"),
+    lambda tmp: (["run", write_cfg(tmp), "--out", str(tmp / "r"),
+                  "--trace", str(tmp / "nodir" / "t")], "nodir"),
+    lambda tmp: (["scenario", "fig2-sharing", "--trace", str(tmp / "nodir" / "t.txt")],
+                 "nodir"),
+    lambda tmp: _corrupt_row(tmp, lambda line: line.rsplit(",", 1)[0]),
+    lambda tmp: _corrupt_row(tmp, lambda line: line.rsplit(",", 1)[0] + ",inf"),
+], ids=["run-out-is-a-file", "run-trace-dir-missing", "scenario-trace-dir-missing",
+        "compare-short-row", "compare-infinite-count"])
+def test_bad_output_path_or_csv_exits_1_with_one_line(case, tmp_path, capsys):
+    argv, detail = case(tmp_path)
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and detail in err, err
+
+
+def _resend_unreduced(self, sender, interest, now):
+    # a broken relay: passes the Interest on without spending its hop budget
+    t = self.fib.lookup(interest.name)[0]
+    return [Emission((t.next_hop, Interest(interest.name, interest.hop_count, 1)))]
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="pool workers see the patched handler only when forked")
+def test_audit_violation_in_a_pool_worker_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(DartRouter, "on_neighbor_interest", _resend_unreduced)
+    cfg = write_cfg(tmp_path, CFG.replace("nodes = 2", "nodes = 4")
+                    .replace("radius = 20", "radius = 6"))
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "x"), "--workers", "2"]) == 2
+    assert "audit violation: hop-count-descent" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", ["fig1-rankloop", "fig1-stale", "fig2-sharing"])

@@ -11,7 +11,7 @@ from dartlab.model import (
     Name,
     Prefix,
 )
-from dartlab.routing import Prefix, Topology, compute_fibs
+from dartlab.routing import Fib, Prefix, Topology, compute_fibs
 
 P = Prefix.parse("/p")
 OBJ = Name.parse("/p/1")
@@ -95,7 +95,7 @@ def test_local_interest_anchored_paths():
     _, fibs = line_fibs()
     d = make("d", fibs, anchored=(P,))
     assert d.on_local_interest("c1", OBJ, 0.0) == [("c1", Nack(OBJ, NackCode.NO_CONTENT))]
-    d.preload(DataPacket(OBJ))
+    d.store.add_owned(DataPacket(OBJ))
     assert d.on_local_interest("c1", OBJ, 0.0) == [("c1", DataPacket(OBJ))]
 
 
@@ -161,6 +161,29 @@ def test_neighbor_interest_store_anchor_and_no_route():
     assert b.on_neighbor_interest("a", Interest(other, 4, 8), 0.0) == \
         [("a", Nack(other, NackCode.NO_ROUTE, 8))]
     assert b.loop_nacks == 0
+
+
+def test_neighbor_interest_on_an_empty_fib_entry_is_no_route_not_loop():
+    # only a hand-built FIB holds an entry with no tuples
+    b = DartRouter("b", Fib({P: ()}))
+    assert b.on_neighbor_interest("a", Interest(OBJ, 3, 7), 0.0) == \
+        [("a", Nack(OBJ, NackCode.NO_ROUTE, 7))]
+    assert b.loop_nacks == 0 and b.table_size() == 0
+
+
+def test_a_new_leg_looks_up_the_fib_once():
+    _, fibs = line_fibs()
+    b = make("b", fibs)
+    lookups = []
+    lookup = b.fib.lookup
+    b.fib.lookup = lambda name: lookups.append(name) or lookup(name)
+    b.on_neighbor_interest("a", Interest(OBJ, 3, 7), now=0.0)
+    assert lookups == [OBJ] and b.table_size() == 1
+
+
+def test_consumer_ask_is_the_bare_name():
+    _, fibs = line_fibs()
+    assert make("a", fibs).ask(OBJ) is OBJ
 
 
 def relay_with_leg(mode=CachingMode.EDGE):

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import io
 import math
+import pickle
 import re
 from collections import Counter
 from dataclasses import fields
@@ -378,6 +379,25 @@ def test_audit_catches_non_descending_hop_budget():
     assert ei.value.kind == "hop-count-descent"
     assert ei.value.router == "b"
     assert "recent deliveries" in str(ei.value)
+
+
+def test_audit_error_survives_a_pickle_round_trip():
+    # a pool worker's violation crosses to the parent pickled
+    e = AuditError("path-acyclicity", "b", Interest(Name.parse("/p/0"), 3, 9),
+                   ("a", "b", "c"), ["t=1.0 b RX INT ..."])
+    back = pickle.loads(pickle.dumps(e))
+    assert type(back) is AuditError
+    assert (back.kind, back.router, back.message, back.chain, back.recent) == \
+        (e.kind, e.router, e.message, e.chain, e.recent)
+    assert str(back) == str(e)
+
+
+def test_scripted_requests_need_a_duration():
+    topo, fibs = line_topology(2)
+    with pytest.raises(ValueError, match="duration_ms"):
+        _Simulation(topo, fibs, Scheme.DART, CachingMode.NONE,
+                    requests=[(0.0, "c.a", Name.parse("/p/0"))],
+                    consumers={"c.a": "a"}, catalog=catalog())
 
 
 def test_audit_catches_forwarding_revisit():

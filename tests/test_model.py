@@ -96,6 +96,13 @@ def test_content_store_owned_beats_cache_and_lru_evicts():
     assert cs.get(n1) is own and n2 in cs and len(cs) == 3
 
 
+def test_content_store_anchors_names_under_its_prefixes():
+    cs = ContentStore(anchored=(Prefix.parse("/p"), Prefix.parse("/q/r")))
+    assert cs.anchors(Name.parse("/p/0")) and cs.anchors(Name.parse("/q/r/1"))
+    assert not cs.anchors(Name.parse("/q/s/1"))
+    assert not ContentStore().anchors(Name.parse("/p/0"))
+
+
 def test_content_store_unbounded_by_default():
     cs = ContentStore()
     for i in range(1000):

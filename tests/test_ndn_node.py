@@ -1,3 +1,5 @@
+import random
+
 from dartlab.model import (
     CachingMode,
     DataPacket,
@@ -34,6 +36,14 @@ def test_interest_creates_pit_and_forwards_best_hop():
     e = b.pit[OBJ]
     assert e.in_records == {111: "a"}
     assert e.expiry == 4_000.0 and b.table_sizes() == (1,)
+
+
+def test_consumer_ask_carries_a_nonce_from_the_routers_own_generator():
+    _, fibs = line_fibs()
+    a = make("a", fibs, nonce_seed=5)
+    bits = random.Random("nonce:5:a").getrandbits
+    assert [a.ask(OBJ), a.ask(OBJ2)] == [NdnInterest(OBJ, bits(64)), NdnInterest(OBJ2, bits(64))]
+    assert make("b", fibs, nonce_seed=5).ask(OBJ).nonce != make("a", fibs, nonce_seed=5).ask(OBJ).nonce
 
 
 def test_interest_aggregates_and_does_not_extend_expiry():

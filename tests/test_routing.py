@@ -82,7 +82,7 @@ def test_fib_distances_match_networkx(seed):
     fibs = compute_fibs(topo)
     for r in topo.routers:
         for prefix, anchor_set in anchors.items():
-            tuples = fibs[r].tuples(prefix)
+            tuples = fibs[r].entries[prefix]
             assert {t.next_hop for t in tuples} == set(topo.neighbors[r])
             for t in tuples:
                 d, a = nearest_anchor(g, t.next_hop, anchor_set)
@@ -99,7 +99,7 @@ def test_fib_anchor_tie_breaks_to_lowest_id():
     topo = Topology(("a", "b", "c"), {("a", "b"): 1.0, ("b", "c"): 1.0},
                     {Prefix.parse("/p"): ("a", "c")})
     fib = compute_fibs(topo)["b"]
-    (t1, t2) = fib.tuples(Prefix.parse("/p"))
+    (t1, t2) = fib.entries[Prefix.parse("/p")]
     assert (t1.next_hop, t1.distance, t1.anchor, t1.rank) == ("a", 1, "a", 1)
     assert (t2.next_hop, t2.distance, t2.anchor, t2.rank) == ("c", 1, "c", 2)
 
@@ -114,11 +114,11 @@ def test_exclude_links_matches_reduced_graph_and_drops_unreachable():
     fibs = compute_fibs(topo, exclude_links=[("e", "a")])
     # e is unreachable from the anchor: no entry at e, and a's tuple via e is gone
     assert fibs["e"].lookup(Name.parse("/p/x")) is None
-    assert {t.next_hop for t in fibs["a"].tuples(p)} == {"b", "d"}
+    assert {t.next_hop for t in fibs["a"].entries[p]} == {"b", "d"}
     g = to_nx(topo)
     g.remove_edge(*cut)
     for r in ("a", "b", "d"):
-        for t in fibs[r].tuples(p):
+        for t in fibs[r].entries[p]:
             assert t.distance == nx.shortest_path_length(g, t.next_hop, "c") + 1
 
 
@@ -150,13 +150,13 @@ def line_fixture():
 
 def test_override_rankings_is_pure_and_validated():
     topo, p, fibs = line_fixture()
-    before = fibs["b"].tuples(p)
+    before = fibs["b"].entries[p]
     assert [t.next_hop for t in before] == ["c", "a"]
     out = override_rankings(fibs, "b", p, ["a", "c"])
-    assert [t.next_hop for t in out["b"].tuples(p)] == ["a", "c"]
-    assert [t.rank for t in out["b"].tuples(p)] == [1, 2]
-    assert {t.next_hop: t.distance for t in out["b"].tuples(p)} == {"a": 4, "c": 2}
-    assert fibs["b"].tuples(p) == before  # original untouched
+    assert [t.next_hop for t in out["b"].entries[p]] == ["a", "c"]
+    assert [t.rank for t in out["b"].entries[p]] == [1, 2]
+    assert {t.next_hop: t.distance for t in out["b"].entries[p]} == {"a": 4, "c": 2}
+    assert fibs["b"].entries[p] == before  # original untouched
     with pytest.raises(ValueError):
         override_rankings(fibs, "b", p, ["a"])
     with pytest.raises(ValueError):
@@ -166,9 +166,9 @@ def test_override_rankings_is_pure_and_validated():
 def test_inject_stale_distances_keeps_rank_order():
     topo, p, fibs = line_fixture()
     out = inject_stale_distances(fibs, [("b", p, "c", 9)])
-    got = out["b"].tuples(p)
+    got = out["b"].entries[p]
     assert [(t.next_hop, t.distance, t.rank) for t in got] == [("c", 9, 1), ("a", 4, 2)]
-    assert [t.distance for t in fibs["b"].tuples(p)] == [2, 4]
+    assert [t.distance for t in fibs["b"].entries[p]] == [2, 4]
     assert inject_stale_distances(fibs, []) == fibs
     with pytest.raises(ValueError):
         inject_stale_distances(fibs, [("b", p, "zzz", 3)])
