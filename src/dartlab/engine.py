@@ -19,7 +19,7 @@ import heapq
 import math
 import random
 from bisect import bisect_right
-from collections import Counter, deque
+from collections import Counter, OrderedDict, deque
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
 from enum import Enum
@@ -124,11 +124,21 @@ def generate_workload(spec: WorkloadSpec, consumers: Sequence[str]):
     return heapq.merge(*(_consumer_stream(spec, c, cum) for c in sorted(consumers)))
 
 
+def fold_sum(values) -> float:
+    """Left-to-right sum: ``sum()`` of floats is compensated from Python
+    3.12 on, so reported floats would differ in the last digits."""
+    total = 0
+    for v in values:
+        total += v
+    return total
+
+
 def sample_table_sizes(routers: Dict[str, object]) -> Dict[str, tuple]:
     """Forwarding-state size snapshot, each router's ``table_sizes()``:
     (PIT entries,) for the baseline, (dart entries incl. origin legs, RCT
     names) for DART.  Every RCT name is pending: an entry is deleted when
-    its Data or Nack comes back."""
+    its Data or Nack comes back, or once every consumer waiting for it has
+    given up."""
     return {rid: router.table_sizes() for rid, router in routers.items()}
 
 
@@ -169,8 +179,8 @@ class MetricsReport:
         total = sum(self.delay_count.values())
         if total == 0:
             return None
-        return sum(self.delay_mean_ms[r] * self.delay_count[r]
-                   for r in self.routers if r in self.delay_mean_ms) / total
+        return fold_sum(self.delay_mean_ms[r] * self.delay_count[r]
+                        for r in self.routers if r in self.delay_mean_ms) / total
 
     def rows(self) -> List[Tuple[str, str, float, str, str, float]]:
         """Flat rows matching the CSV contract:
@@ -207,12 +217,20 @@ _TOTAL_FIELDS = tuple(f.name for f in fields(MetricsReport) if type(f.default) i
 
 
 class _OpenRequest:
-    __slots__ = ("token", "attempt", "issues")
+    # due: (time, seq) of the retry, set each time the request leaves its router
+    __slots__ = ("due", "attempt", "issues")
 
-    def __init__(self, token, now):
-        self.token = token
+    def __init__(self, now):
+        self.due = None
         self.attempt = 1
         self.issues = [now]
+
+
+def _first_due(open_requests):
+    """The due time of the first open request, or None with none open."""
+    for rec in open_requests.values():
+        return rec.due
+    return None
 
 
 # a DART consumer's ask is a bare Name, traced as an Interest with no hop
@@ -348,7 +366,7 @@ class _Simulation:
         self.size_sums = {r: [0] * len(node.table_sizes()) for r, node in self.routers.items()}
         self.sample_count = 0
         self.delay_sum = {r: 0.0 for r in rl}
-        self.open: Dict[tuple, _OpenRequest] = {}
+        self.open: OrderedDict = OrderedDict()
 
     def _recent_lines(self) -> List[str]:
         return [_trace_line(t, dst, "RX", m, src) for (t, src, dst, m) in self.recent]
@@ -378,20 +396,19 @@ class _Simulation:
         from ``self.routers`` here, not at construction, so a router or
         handler swapped in before ``run`` is the one called.
 
-        Events wait in three queues and the loop takes the head that is
-        smallest by (time, seq).  Sends over the delay most links share sit
-        in the ``sends`` FIFO as (time, seq, dst, src, message, chain),
-        retry timers in the ``timers`` FIFO, and all else in the heap as
-        (time, seq, kind, data).  Every entry of a FIFO waits one fixed
-        delay from a non-decreasing now, so a FIFO is already in order.
+        The loop takes the smallest head by (time, seq) of three queues.
+        Sends over the delay most links share wait in the ``sends`` FIFO as
+        (time, seq, dst, src, message, chain), in order because each waits
+        one delay from a non-decreasing now.  Open requests, kept in the
+        order their retries fall due, are the retry queue: an answer or an
+        abandon deletes a request's entry, so no retry outlives it.  All
+        else waits in the heap as (time, seq, kind, data).
 
         Cyclic garbage collection is off while the loop runs and is put
         back as the caller had it on every exit.  The loop builds no
         reference cycles, so refcounting frees everything it allocates and
         a collection would only walk live objects."""
         heap, pop, push = self.heap, heapq.heappop, heapq.heappush
-        timers: deque = deque()
-        arm, fire = timers.append, timers.popleft
         sends: deque = deque()
         send, take, shared = sends.append, sends.popleft, self.shared_delay
         handlers = {r: node.handlers() for r, node in self.routers.items()}
@@ -403,7 +420,7 @@ class _Simulation:
         retry_timeout, max_tries = self.retry_timeout_ms, self.max_tries
         audit, remember = self.audit, self.recent.append
         write = self.trace.write if self.trace else None
-        seq, token = self._seq, 0
+        seq, due = self._seq, _first_due(open_requests)
         requests, delivered, nacked = rep.requests, rep.delivered, rep.nacked
         abandoned, retries = rep.abandoned, rep.retries
         gc_was_enabled = gc.isenabled()
@@ -411,21 +428,17 @@ class _Simulation:
         try:
             while True:
                 if sends and (not heap or sends[0] < heap[0]) and (
-                        not timers or sends[0] < timers[0]):
+                        due is None or sends[0] < due):
                     now, _, here, sender, in_msg, in_chain = take()
                     kind = _DELIVER
-                else:
-                    if timers:
-                        if heap and heap[0] < timers[0]:
-                            now, _, kind, data = pop(heap)
-                        else:
-                            now, _, kind, data = fire()
-                    elif heap:
-                        now, _, kind, data = pop(heap)
-                    else:
-                        break
+                elif due is not None and (not heap or due < heap[0]):
+                    now, kind = due[0], _RETRY
+                elif heap:
+                    now, _, kind, data = pop(heap)
                     if kind == _DELIVER:
                         here, sender, in_msg, in_chain = data
+                else:
+                    break
                 if kind == _DELIVER:
                     mt = type(in_msg)
                     if audit:
@@ -437,7 +450,6 @@ class _Simulation:
                                           in_msg, sender) + "\n")
                     if not ems:
                         continue
-                    retry = None
                 else:
                     if kind == _REQUEST:
                         consumer, name, stream = data
@@ -449,33 +461,29 @@ class _Simulation:
                                             (consumer, catalog[nxt[2]], stream)))
                         requests += 1
                         key = (consumer, name)
-                        rec = open_requests.get(key)
-                        if rec is not None:
+                        opened = open_requests.get(key)
+                        if opened is not None:
                             # same consumer re-asks while the first fetch is in flight: ride it
-                            rec.issues.append(now)
+                            opened.issues.append(now)
                             continue
-                        token += 1
-                        open_requests[key] = _OpenRequest(token, now)
-                        retry = (consumer, name, token)
+                        opened = open_requests[key] = _OpenRequest(now)
                     elif kind == _RETRY:
-                        consumer, name, retry_token = data
-                        key = (consumer, name)
-                        rec = open_requests.get(key)
-                        if rec is None or rec.token != retry_token:
-                            continue
-                        if rec.attempt >= max_tries:
-                            abandoned += len(rec.issues)
+                        # the first open request is the one due
+                        key, opened = next(iter(open_requests.items()))
+                        consumer, name = key
+                        if opened.attempt >= max_tries:
+                            abandoned += len(opened.issues)
                             del open_requests[key]
+                            due = _first_due(open_requests)
                             self.routers[consumer_router[consumer]].give_up(consumer, name)
                             continue
-                        rec.attempt += 1
+                        opened.attempt += 1
                         retries += 1
-                        retry = data
                     else:
-                        due = self._sample(now) if kind == _SAMPLE else self._sweep(now)
-                        if due <= horizon:
+                        at = self._sample(now) if kind == _SAMPLE else self._sweep(now)
+                        if at <= horizon:
                             seq += 1
-                            push(heap, (due, seq, kind, None))
+                            push(heap, (at, seq, kind, None))
                         continue
                     # the consumer's ask reaches its router at once, as the
                     # packet the router makes of it
@@ -497,6 +505,8 @@ class _Simulation:
                         rec = open_requests.pop((dst, m.name), None)
                         if rec is None:
                             continue
+                        if rec.due is due:
+                            due = _first_due(open_requests)
                         if mt is DataPacket:
                             r = consumer_router[dst]
                             for t0 in rec.issues:
@@ -531,9 +541,13 @@ class _Simulation:
                     else:
                         push(heap, (now + d, seq, _DELIVER, (dst, here, m, chain)))
 
-                if retry is not None and key in open_requests:
+                if kind != _DELIVER and key in open_requests:
+                    # the request left its router: its retry falls due last
                     seq += 1
-                    arm((now + retry_timeout, seq, _RETRY, retry))
+                    opened.due = (now + retry_timeout, seq)
+                    open_requests.move_to_end(key)
+                    if due is None or kind == _RETRY:
+                        due = _first_due(open_requests)
         finally:
             if gc_was_enabled:
                 gc.enable()
@@ -559,10 +573,10 @@ class _Simulation:
             for key in node.TOTALS:
                 setattr(rep, key, getattr(rep, key) + getattr(node, key))
             rep.store_evictions += node.store.evictions
-        mu = sum(means) / len(means)
+        mu = fold_sum(means) / len(means)
         rep.table_size_router_mean = mu
         rep.table_size_router_std = math.sqrt(
-            max(0.0, sum(m * m for m in means) / len(means) - mu * mu))
+            max(0.0, fold_sum(m * m for m in means) / len(means) - mu * mu))
         return rep
 
 

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from . import __version__
-from .engine import MetricsReport, Scheme, WorkloadSpec, run
+from .engine import MetricsReport, Scheme, WorkloadSpec, fold_sum, run
 from .model import CachingMode, Name, Prefix
 from .routing import Topology, compute_fibs, generate_topology
 
@@ -267,7 +267,7 @@ def _read_cell(path: Path) -> Dict:
     if not per_router_sizes:
         raise ConfigError(f"{path.name}: no per-router table size rows")
     return {
-        "table_size_mean": sum(per_router_sizes) / len(per_router_sizes),
+        "table_size_mean": fold_sum(per_router_sizes) / len(per_router_sizes),
         "interests": interests,
         "delay_mean_ms": delay_mean,
     }
@@ -316,7 +316,7 @@ def compare_dir(dir_path):
 
     def mean(xs):
         xs = [x for x in xs if x is not None]
-        return sum(xs) / len(xs) if xs else None
+        return fold_sum(xs) / len(xs) if xs else None
 
     for (ca, rate) in sorted(groups):
         g = groups[(ca, rate)]

@@ -4,6 +4,7 @@ import io
 import math
 import pickle
 import re
+import tracemalloc
 from collections import Counter
 from dataclasses import fields
 
@@ -243,20 +244,85 @@ def test_a_retry_recovers_a_response_lost_on_the_way():
 
 
 def test_an_abandoned_request_leaves_no_rct_entry():
-    # b drops every Data, so the consumer gives up after max_tries; its
-    # origin must then forget the name instead of keeping it pending
+    # b drops every Data, so the consumer gives up once, after its
+    # max_tries-th ask; its origin must then forget the name instead of
+    # keeping it pending
     topo, fibs = line_topology(3)
+    buf = io.StringIO()
     sim = _Simulation(topo, fibs, Scheme.DART, CachingMode.EDGE,
                       requests=[(0.0, "c.a", Name.parse("/p/0"))],
-                      consumers={"c.a": "a"}, catalog=catalog(), duration_ms=5000.0)
+                      consumers={"c.a": "a"}, catalog=catalog(), duration_ms=5000.0,
+                      max_tries=4, trace=buf)
     sim.routers["b"].on_data = lambda sender, data, now: None
+    give_up, calls = sim.routers["a"].give_up, []
+
+    def spy(consumer, name):
+        calls.append((consumer, name, buf.getvalue().count(" a TX INT ")))
+        give_up(consumer, name)
+
+    sim.routers["a"].give_up = spy
     rep = sim.run()
-    assert (rep.delivered, rep.abandoned, rep.retries) == (0, 1, 2)
-    assert sim.routers["a"].rct == {}
+    assert calls == [("c.a", Name.parse("/p/0"), 4)]
+    assert (rep.delivered, rep.abandoned, rep.retries) == (0, 1, 3)
+    assert sim.routers["a"].rct == {} and sim.open == {}
+
+
+def _run_peak_bytes(duration_s):
+    # one rate-200 consumer whose requests are all answered long before
+    # their retries would fall due
+    topo, fibs = line_topology(3, delay=5.0)
+    spec = WorkloadSpec(0.8, 50, per_router_rate=200.0, duration=duration_s, seed=1)
+    sim = _Simulation(topo, fibs, Scheme.DART, CachingMode.NONE, workload=spec,
+                      consumers={"c.a": "a"}, catalog=catalog(50),
+                      retry_timeout_ms=1000.0 * duration_s + 60_000.0)
+    tracemalloc.start()
+    try:
+        rep = sim.run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.delivered == rep.requests > 0 and rep.retries == 0
+    return peak
+
+
+def test_answered_requests_hold_no_memory_until_their_retry_time():
+    # the state the loop holds grows with the requests in flight, not with
+    # the request rate times the retry timeout
+    short, long = _run_peak_bytes(2.0), _run_peak_bytes(8.0)
+    assert long < 1.25 * short, (short, long)
+
+
+def test_a_request_asked_again_is_retried_at_its_own_due_time():
+    # /p/0 is answered at t=100 and asked again at t=500; b drops that
+    # second Data, so the second request is retried at 500 + 1000, and the
+    # first request's due time (t=1000) passes without a retry
+    topo, fibs = line_topology(3)
+    buf = io.StringIO()
+    sim = _Simulation(topo, fibs, Scheme.DART, CachingMode.NONE,
+                      requests=[(0.0, "c.a", Name.parse("/p/0")),
+                                (500.0, "c.a", Name.parse("/p/0"))],
+                      consumers={"c.a": "a"}, catalog=catalog(), duration_ms=5000.0,
+                      retry_timeout_ms=1000.0, trace=buf)
+    relay = sim.routers["b"].on_data
+    dropped = []
+
+    def drop_second(sender, data, now):
+        if now > 500.0 and not dropped:
+            dropped.append(now)
+            return None
+        return relay(sender, data, now)
+
+    sim.routers["b"].on_data = drop_second
+    rep = sim.run()
+    assert dropped == [575.0]
+    sent = [l.split(" name=")[0] for l in buf.getvalue().splitlines() if " a TX INT " in l]
+    assert sent == ["t=0.0 a TX INT", "t=500.0 a TX INT", "t=1500.0 a TX INT"]
+    assert (rep.delivered, rep.retries, rep.abandoned) == (2, 1, 0)
+    assert sim.open == {}
 
 
 def test_retry_timer_ties_break_in_push_order(tmp_path):
-    # Retry timers wait in their own FIFO beside the heap.  At equal times
+    # Retries wait in the open-request table beside the heap.  At equal times
     # the event pushed first still runs first: c.2's scripted request is
     # pushed before c.1's retry is armed, so it is handled first at t=1000.
     topo, fibs = line_topology(2, delay=600.0)
