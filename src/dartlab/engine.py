@@ -23,7 +23,8 @@ from collections import Counter, OrderedDict, deque
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from itertools import accumulate
+from itertools import accumulate, repeat
+from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .dart_node import DartRouter
@@ -95,7 +96,8 @@ class WorkloadSpec:
 
 
 def zipf_cumulative(alpha: float, size: int) -> List[float]:
-    return list(accumulate((k + 1) ** -alpha for k in range(size)))
+    """Running sums of ``k ** -alpha`` for ranks k = 1..size."""
+    return list(accumulate(map(pow, range(1, size + 1), repeat(-alpha))))
 
 
 def _consumer_stream(spec: WorkloadSpec, consumer: str, cum: List[float]):
@@ -312,12 +314,21 @@ class _Simulation:
                                  local_consumers=[c for c, rr in consumers.items() if rr == r],
                                  nonce_seed=workload.seed if workload is not None else 0)
             self.routers[r] = node
+        # Preload anchored content in one pass over the catalog: a name is
+        # looked up once per distinct anchored-prefix length, and every
+        # anchor of every prefix covering it owns the same packet.
+        by_length: Dict[int, Dict[tuple, List[dict]]] = {}
         for prefix, anchors in topology.anchors.items():
-            owned = [n for n in self.catalog if prefix.matches(n)]
-            for a in anchors:
-                store = self.routers[a].store
-                for n in owned:
-                    store.add_owned(DataPacket(n))
+            by_length.setdefault(len(prefix), {})[prefix] = [
+                self.routers[a].store.owned for a in anchors]
+        lookups = tuple(by_length.items())
+        for n in self.catalog:
+            data = None
+            for length, stores in lookups:
+                for owned in stores.get(n[:length], ()):
+                    if data is None:
+                        data = DataPacket(n)
+                    owned[n] = data
 
         # Initial events as (time, kind, data).  A workload request carries
         # its consumer's stream: the loop pulls that consumer's next request
@@ -382,7 +393,7 @@ class _Simulation:
         self.sample_count += 1
         sums, peak = self.size_sums, self.report.table_size_max
         for r, sizes in sample_table_sizes(self.routers).items():
-            sums[r] = [s + n for s, n in zip(sums[r], sizes)]
+            sums[r] = list(map(add, sums[r], sizes))
             if sizes[0] > peak[r]:
                 peak[r] = sizes[0]
         return now + self.sample_interval_ms

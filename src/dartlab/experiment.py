@@ -15,7 +15,6 @@ import json
 import math
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -148,10 +147,14 @@ def build_topology(cfg: ExperimentConfig) -> Topology:
 
 def build_catalog(cfg: ExperimentConfig, topology: Topology) -> List[Name]:
     """Popularity rank k maps to producer prefix k mod P, so hot objects are
-    spread across producers instead of piling onto one anchor."""
+    spread across producers instead of piling onto one anchor.  Each
+    prefix's names are built in one ``Prefix.names`` call."""
     prefixes = sorted(topology.anchors)
-    return [Name((*prefixes[k % len(prefixes)], f"o{k:05d}"))
-            for k in range(cfg.catalog)]
+    step = len(prefixes)
+    catalog = [None] * cfg.catalog
+    for i, prefix in enumerate(prefixes):
+        catalog[i::step] = prefix.names(map("o{:05d}".format, range(i, cfg.catalog, step)))
+    return catalog
 
 
 def cell_filename(scheme: str, caching: str, rate: float, seed: int) -> str:
@@ -220,6 +223,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir, config_text: str = "",
             trace = f"{trace_template}.{scheme}_{caching}_r{rate:g}_s{seed}"
         tasks.append((cfg, scheme, caching, rate, seed, str(out), trace))
     if cfg.workers > 1:
+        # imported here: a one-worker run never loads the pool's machinery
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             names = list(pool.map(_cell_task, tasks))
     else:

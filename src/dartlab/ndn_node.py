@@ -106,7 +106,8 @@ class NdnRouter:
             entry.in_records[nonce] = sender
             self.aggregated += 1
             return []
-        if self.store.anchors(name):
+        # most routers anchor nothing and skip the test
+        if self.store.anchored and self.store.anchors(name):
             return [Emission((sender, Nack(name, NackCode.NO_CONTENT)))]
         tuples = self.fib.lookup(name)
         nxt = None
@@ -120,7 +121,8 @@ class NdnRouter:
         entry = PitEntry(now + self.pit_lifetime_ms)
         entry.in_records[nonce] = sender
         self.pit[name] = entry
-        return [Emission((nxt.next_hop, NdnInterest(name, nonce)))]
+        # the Interest is immutable and travels on as it came
+        return [Emission((nxt.next_hop, interest))]
 
     def on_data(self, sender: str, data: DataPacket, now: float) -> Optional[List[Emission]]:
         """None means the Data was dropped: no PIT entry waits for it."""

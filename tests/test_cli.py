@@ -103,6 +103,17 @@ def test_negative_timer_interval_exits_1_instead_of_hanging(tmp_path, line):
     assert "Traceback" not in done.stderr
 
 
+def test_importing_the_cli_loads_no_process_pool():
+    # a one-worker run never starts a pool, so it should not pay for its import
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c",
+                           "import sys, dartlab.cli; "
+                           "print('concurrent.futures.process' in sys.modules)"],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
 def test_compare_exit_code_reports_missing_counterparts(tmp_path, capsys):
     cfg = write_cfg(tmp_path, CFG.replace("schemes = dart,ndn", "schemes = dart"))
     out = str(tmp_path / "results")

@@ -7,6 +7,7 @@ import re
 import tracemalloc
 from collections import Counter
 from dataclasses import fields
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -22,11 +23,13 @@ from dartlab.engine import (
     generate_workload,
     run,
     sample_table_sizes,
+    zipf_cumulative,
 )
 from dartlab import experiment
 from dartlab.experiment import build_topology, parse_config, run_cell, simulate_cell
 from dartlab.model import (
     CachingMode,
+    ContentStore,
     DataPacket,
     Emission,
     Interest,
@@ -77,6 +80,15 @@ def test_zipf_alpha_zero_is_uniform():
     assert p > 1e-3
 
 
+@pytest.mark.parametrize("alpha", [0, 0.0, 0.5, 0.8, 1, 1.0, 1.2, 2.5])
+def test_zipf_table_is_bit_identical_to_the_generator_form(alpha):
+    size = 10_000
+    reference = list(accumulate((k + 1) ** -alpha for k in range(size)))
+    table = zipf_cumulative(alpha, size)
+    assert [float(x).hex() for x in table] == [float(x).hex() for x in reference]
+    assert [type(x) for x in table] == [type(x) for x in reference]
+
+
 def test_poisson_event_count_concentrates():
     rate, duration = 50.0, 20.0
     spec = WorkloadSpec(0.7, 100, rate, duration, seed=5)
@@ -124,6 +136,50 @@ def test_workload_spec_validation():
         WorkloadSpec(0.7, 0, 1.0, 1.0)
     with pytest.raises(ValueError):
         WorkloadSpec(0.7, 10, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("scheme", ["dart", "ndn"])
+def test_preload_equals_a_prefix_matches_reference(scheme):
+    # nested anchored prefixes at two routers and at one, and a prefix
+    # with two anchors
+    anchored = {Prefix.parse("/p"): ("d",), Prefix.parse("/p/q"): ("b",),
+                Prefix.parse("/p/q/s"): ("d",), Prefix.parse("/r"): ("a", "c")}
+    ids = ("a", "b", "c", "d")
+    topo = Topology(ids, {("a", "b"): 5.0, ("b", "c"): 5.0, ("c", "d"): 5.0}, anchored)
+    names = [Name.parse(t) for t in ("/p", "/p/0", "/p/q/1", "/p/q/s/2", "/p/qq/3",
+                                      "/r/4", "/r", "/x/5", "/p/0")]
+    sim = _Simulation(topo, compute_fibs(topo), Scheme(scheme), CachingMode.EDGE,
+                      catalog=names, duration_ms=1_000.0)
+    for r in ids:
+        owned = sim.routers[r].store.owned
+        expected = {n for n in names
+                    if any(p.matches(n) for p, anchors in anchored.items() if r in anchors)}
+        assert set(owned) == expected
+        assert all(type(d) is DataPacket and d == DataPacket(n) for n, d in owned.items())
+    assert set(sim.routers["a"].store.owned) == {Name.parse("/r/4"), Name.parse("/r")}
+    # every anchor of a name holds the same packet
+    for n in names:
+        held = {id(node.store.owned[n]) for node in sim.routers.values()
+                if n in node.store.owned}
+        assert len(held) <= 1
+
+
+@pytest.mark.parametrize("scheme", ["dart", "ndn"])
+def test_routers_that_anchor_nothing_skip_the_anchor_test(scheme, monkeypatch):
+    tested = []
+    real = ContentStore.anchors
+
+    def anchors(store, name):
+        tested.append(store.anchored)
+        return real(store, name)
+
+    monkeypatch.setattr(ContentStore, "anchors", anchors)
+    topo, fibs = line_topology()
+    # every router misses /p/7; only the anchor "d" tests it, and refuses it
+    asks = [(0.0, "c.a", Name.parse("/p/7")), (0.0, "c.b", Name.parse("/p/0"))]
+    rep = run(topo, fibs, scheme, "none", requests=asks, catalog=catalog(1),
+              duration_ms=5_000.0)
+    assert rep.delivered == 1 and tested and all(tested)
 
 
 # --- table size sampling ------------------------------------------------------

@@ -136,6 +136,21 @@ def test_build_topology_and_catalog_round_robin():
     assert len(build_topology(all_cfg).anchors) == 2
 
 
+@pytest.mark.parametrize("producers", [1, 3, 0])
+def test_build_catalog_equals_the_name_by_name_reference(producers):
+    # 25 names over 1, 3 or 12 prefixes: 25 is no multiple of 3 or 12
+    cfg = parse_config(TINY.replace("nodes = 2", "nodes = 12")
+                           .replace("producers = 1", f"producers = {producers}")
+                           .replace("radius = 20", "radius = 8"))
+    topo = build_topology(cfg)
+    prefixes = sorted(topo.anchors)
+    assert len(prefixes) == (producers or 12)
+    names = build_catalog(cfg, topo)
+    assert names == [Name((*prefixes[k % len(prefixes)], f"o{k:05d}"))
+                     for k in range(cfg.catalog)]
+    assert all(type(n) is Name for n in names)
+
+
 def test_config_is_picklable_and_prefix_roundtrips():
     cfg = parse_config(TINY)
     assert pickle.loads(pickle.dumps(cfg)) == cfg

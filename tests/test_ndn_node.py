@@ -31,8 +31,10 @@ def make(router_id, fibs, anchored=(), mode=CachingMode.EDGE, **kw):
 def test_interest_creates_pit_and_forwards_best_hop():
     _, fibs = line_fibs()
     b = make("b", fibs)
-    out = b.on_interest("a", NdnInterest(OBJ, 111), now=0.0)
+    interest = NdnInterest(OBJ, 111)
+    out = b.on_interest("a", interest, now=0.0)
     assert out == [("c", NdnInterest(OBJ, 111))]  # nonce travels unchanged
+    assert out[0].message is interest  # forwarded as received, not rebuilt
     e = b.pit[OBJ]
     assert e.in_records == {111: "a"}
     assert e.expiry == 4_000.0 and b.table_sizes() == (1,)
