@@ -21,7 +21,7 @@ no matter how inconsistent the routing tables are.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
 
 from .model import (
     CachingMode,
@@ -67,12 +67,13 @@ class DartRouter:
                  anchored: Tuple[Prefix, ...] = (),
                  caching_mode: CachingMode = CachingMode.EDGE,
                  dart_ttl_ms: float = 10_000.0,
-                 store_capacity: Optional[int] = None):
+                 store_capacity: Optional[int] = None,
+                 owned: Optional[Mapping[Name, DataPacket]] = None):
         self.router_id = router_id
         self.fib = fib
         self.caching_mode = caching_mode
         self.dart_ttl_ms = dart_ttl_ms
-        self.store = ContentStore(store_capacity, anchored)
+        self.store = ContentStore(store_capacity, anchored, owned)
         self.rct: Dict[Name, Set[str]] = {}
         # every live entry appears in both indexes; origin legs also in _origin
         self.by_pred: Dict[Tuple[str, int], DartEntry] = {}

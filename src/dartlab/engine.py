@@ -25,7 +25,8 @@ from dataclasses import dataclass, field, fields
 from enum import Enum
 from itertools import accumulate, repeat
 from operator import add
-from typing import Dict, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .dart_node import DartRouter
 from .model import (
@@ -45,6 +46,11 @@ class Scheme(Enum):
     DART = "dart"
     NDN = "ndn"
 
+
+# A sample or sweep period may fire at most this many times in a run: a
+# shorter one hangs the run once now + period == now, and long before that
+# takes more time than any run here should.
+MAX_TIMER_FIRINGS = 10_000_000
 
 # event kinds, cheapest-to-compare first in rough frequency order
 _DELIVER, _REQUEST, _RETRY, _SAMPLE, _SWEEP = range(5)
@@ -124,6 +130,29 @@ def generate_workload(spec: WorkloadSpec, consumers: Sequence[str]):
     into its event heap directly and dispatches this same sequence."""
     cum = zipf_cumulative(spec.zipf_alpha, spec.catalog_size)
     return heapq.merge(*(_consumer_stream(spec, c, cum) for c in sorted(consumers)))
+
+
+def preload(topology: Topology, catalog: Sequence[Name]
+            ) -> Dict[str, Mapping[Name, DataPacket]]:
+    """Each anchor's content, read-only: ``{router: {name: packet}}`` for
+    the catalog names under the prefixes the router anchors.  One pass over
+    the catalog: a name is looked up once per distinct anchored-prefix
+    length, and every anchor of every prefix covering it holds the same
+    packet."""
+    owned: Dict[str, dict] = {}
+    by_length: Dict[int, Dict[tuple, List[dict]]] = {}
+    for prefix, anchors in topology.anchors.items():
+        by_length.setdefault(len(prefix), {})[prefix] = [
+            owned.setdefault(a, {}) for a in anchors]
+    lookups = tuple(by_length.items())
+    for n in catalog:
+        data = None
+        for length, stores in lookups:
+            for held in stores.get(n[:length], ()):
+                if data is None:
+                    data = DataPacket(n)
+                held[n] = data
+    return {a: MappingProxyType(held) for a, held in owned.items()}
 
 
 def fold_sum(values) -> float:
@@ -260,7 +289,7 @@ def _trace_line(now: float, router: str, direction: str, msg, peer: str) -> str:
 class _Simulation:
     def __init__(self, topology: Topology, fibs: Dict[str, Fib], scheme: Scheme,
                  caching_mode: CachingMode, *, workload=None, requests=None,
-                 consumers=None, catalog=None, audits=True, trace=None,
+                 consumers=None, catalog=None, owned=None, zipf=None, audits=True, trace=None,
                  dart_ttl_ms=10_000.0, pit_lifetime_ms=4_000.0,
                  sweep_interval_ms=1_000.0, sample_interval_ms=100.0,
                  warmup_fraction=0.1, retry_timeout_ms=1_000.0, max_tries=3,
@@ -273,13 +302,21 @@ class _Simulation:
             raise ValueError("catalog smaller than workload.catalog_size")
         if workload is None and duration_ms is None:
             raise ValueError("duration_ms is required without a workload")
-        # a non-positive period would re-arm its timer at or before now forever
+        self.horizon_ms = (float(duration_ms) if duration_ms is not None
+                           else workload.duration * 1000.0)
+        # A non-positive period would re-arm its timer at or before now
+        # forever, and so would one too short to move now (now + period == now).
         for key, value in (("sweep_interval_ms", sweep_interval_ms),
                            ("sample_interval_ms", sample_interval_ms),
                            ("retry_timeout_ms", retry_timeout_ms)):
             if not value > 0:
                 raise ValueError(f"{key} must be > 0, got {value}")
-        self.catalog: List[Name] = list(catalog)
+        for key, value in (("sweep_interval_ms", sweep_interval_ms),
+                           ("sample_interval_ms", sample_interval_ms)):
+            if not self.horizon_ms <= MAX_TIMER_FIRINGS * value:
+                raise ValueError(f"{key} must be >= the run's length / {MAX_TIMER_FIRINGS}, "
+                                 f"got {value}")
+        self.catalog: Sequence[Name] = catalog
         self.max_tries = max_tries
         self.retry_timeout_ms = retry_timeout_ms
         self.sweep_interval_ms = sweep_interval_ms
@@ -303,41 +340,30 @@ class _Simulation:
         for prefix, anchors in topology.anchors.items():
             for a in anchors:
                 anchored[a].append(prefix)
+        if owned is None:
+            owned = preload(topology, self.catalog)
         self.routers: Dict[str, object] = {}
         for r in topology.routers:
             if scheme is Scheme.DART:
                 node = DartRouter(r, fibs[r], anchored[r], caching_mode,
-                                  dart_ttl_ms=dart_ttl_ms, store_capacity=store_capacity)
+                                  dart_ttl_ms=dart_ttl_ms, store_capacity=store_capacity,
+                                  owned=owned.get(r))
             else:
                 node = NdnRouter(r, fibs[r], anchored[r], caching_mode,
                                  pit_lifetime_ms=pit_lifetime_ms, store_capacity=store_capacity,
                                  local_consumers=[c for c, rr in consumers.items() if rr == r],
-                                 nonce_seed=workload.seed if workload is not None else 0)
+                                 nonce_seed=workload.seed if workload is not None else 0,
+                                 owned=owned.get(r))
             self.routers[r] = node
-        # Preload anchored content in one pass over the catalog: a name is
-        # looked up once per distinct anchored-prefix length, and every
-        # anchor of every prefix covering it owns the same packet.
-        by_length: Dict[int, Dict[tuple, List[dict]]] = {}
-        for prefix, anchors in topology.anchors.items():
-            by_length.setdefault(len(prefix), {})[prefix] = [
-                self.routers[a].store.owned for a in anchors]
-        lookups = tuple(by_length.items())
-        for n in self.catalog:
-            data = None
-            for length, stores in lookups:
-                for owned in stores.get(n[:length], ()):
-                    if data is None:
-                        data = DataPacket(n)
-                    owned[n] = data
-
         # Initial events as (time, kind, data).  A workload request carries
         # its consumer's stream: the loop pulls that consumer's next request
         # when it pops this one, so each consumer has at most one pending.
         events = []
         if workload is not None:
-            cum = zipf_cumulative(workload.zipf_alpha, workload.catalog_size)
+            if zipf is None:
+                zipf = zipf_cumulative(workload.zipf_alpha, workload.catalog_size)
             for consumer in sorted(self.consumer_router):
-                stream = _consumer_stream(workload, consumer, cum)
+                stream = _consumer_stream(workload, consumer, zipf)
                 first = next(stream, None)
                 if first is not None:
                     events.append((first[0], _REQUEST,
@@ -348,8 +374,6 @@ class _Simulation:
                     raise ValueError(f"unknown consumer in script: {consumer}")
                 events.append((t, _REQUEST, (consumer, name, None)))
 
-        self.horizon_ms = (float(duration_ms) if duration_ms is not None
-                           else workload.duration * 1000.0)
         self.warmup_ms = self.horizon_ms * warmup_fraction
 
         if sweep_interval_ms <= self.horizon_ms:
@@ -598,7 +622,10 @@ def run(topology: Topology, fibs: Dict[str, Fib], scheme, caching_mode,
 
     Exactly one of ``workload`` / ``requests=[(time_ms, consumer, name), ...]``
     drives traffic.  ``catalog`` (the content names that exist; anchors
-    preload everything matching their prefixes) is always required.
+    preload everything matching their prefixes) is always required.  A
+    caller that keeps ``preload(topology, catalog)`` or the workload's
+    ``zipf_cumulative`` table may pass them as ``owned`` and ``zipf``;
+    otherwise they are built here.  The run only reads them.
     """
     with open(trace_path, "w") if trace_path else nullcontext() as fh:
         sim = _Simulation(topology, fibs, Scheme(scheme), CachingMode(caching_mode),

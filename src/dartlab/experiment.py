@@ -16,13 +16,23 @@ import math
 import os
 import random
 from dataclasses import dataclass, fields, replace
+from functools import lru_cache
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from . import __version__
-from .engine import MetricsReport, Scheme, WorkloadSpec, fold_sum, run
-from .model import CachingMode, Name, Prefix
-from .routing import Topology, compute_fibs, generate_topology
+from .engine import (
+    MAX_TIMER_FIRINGS,
+    MetricsReport,
+    Scheme,
+    WorkloadSpec,
+    fold_sum,
+    preload,
+    run,
+    zipf_cumulative,
+)
+from .model import CachingMode, DataPacket, Name, Prefix
+from .routing import Fib, Topology, compute_fibs, generate_topology
 
 
 class ConfigError(Exception):
@@ -83,6 +93,11 @@ class ExperimentConfig:
         horizon_ms = self.duration_s * 1000.0
         need(horizon_ms * self.warmup_frac + self.sample_interval_ms <= horizon_ms,
              "sample_interval_ms", "<= duration_s * 1000 * (1 - warmup_frac)")
+        # the engine's cap on timer firings: a shorter period hangs the run
+        need(horizon_ms <= MAX_TIMER_FIRINGS * self.sample_interval_ms,
+             "sample_interval_ms", f">= duration_s * 1000 / {MAX_TIMER_FIRINGS}")
+        need(self.duration_s <= MAX_TIMER_FIRINGS * self.sweep_interval_s,
+             "sweep_interval_s", f">= duration_s / {MAX_TIMER_FIRINGS}")
         for key in ("schemes", "caching", "rates", "seeds"):
             need(0 < len(set(getattr(self, key))) == len(getattr(self, key)), key,
                  "non-empty and free of duplicates")
@@ -179,15 +194,44 @@ def write_rows(path: Path, rows) -> None:
     os.replace(tmp, path)
 
 
+# The config fields a cell's static world is built from, and nothing else.
+WORLD_FIELDS = ("nodes", "area", "radius", "link_delay_ms", "topology_seed",
+                "producers", "catalog", "zipf_alpha")
+
+
+@dataclass(frozen=True)
+class World:
+    """The part of a cell its scheme, caching, rate and seed leave alone.
+    Cells share it, so nothing may write into it: the anchors' packets are
+    read-only mappings and the catalog and Zipf table are tuples."""
+
+    topology: Topology
+    fibs: Dict[str, Fib]
+    catalog: Tuple[Name, ...]
+    owned: Dict[str, Mapping[Name, DataPacket]]
+    zipf: Tuple[float, ...]
+
+
+@lru_cache(maxsize=1, typed=True)
+def build_world(*values) -> World:
+    """The world of the configs whose ``WORLD_FIELDS`` hold ``values``.
+    Memoised on them, one world at a time: a process builds it for its
+    first cell, and every later cell with the same fields reuses it."""
+    cfg = ExperimentConfig(**dict(zip(WORLD_FIELDS, values)))
+    topo = build_topology(cfg)
+    catalog = tuple(build_catalog(cfg, topo))
+    return World(topo, compute_fibs(topo), catalog, preload(topo, catalog),
+                 tuple(zipf_cumulative(cfg.zipf_alpha, cfg.catalog)))
+
+
 def simulate_cell(cfg: ExperimentConfig, scheme: str, caching: str, rate: float,
                   seed: int, trace_path: Optional[str] = None) -> MetricsReport:
-    """Build one cell of the config's grid and simulate it; the one place a
-    config's fields become engine arguments."""
-    topo = build_topology(cfg)
-    fibs = compute_fibs(topo)
-    catalog = build_catalog(cfg, topo)
+    """Simulate one cell of the config's grid in the config's world; the
+    one place a config's fields become engine arguments."""
+    world = build_world(*(getattr(cfg, key) for key in WORLD_FIELDS))
     wl = WorkloadSpec(cfg.zipf_alpha, cfg.catalog, rate, cfg.duration_s, seed)
-    return run(topo, fibs, scheme, caching, workload=wl, catalog=catalog,
+    return run(world.topology, world.fibs, scheme, caching, workload=wl,
+               catalog=world.catalog, owned=world.owned, zipf=world.zipf,
                trace_path=trace_path, audits=cfg.audit,
                dart_ttl_ms=cfg.dart_ttl_s * 1000.0,
                pit_lifetime_ms=cfg.pit_lifetime_s * 1000.0,

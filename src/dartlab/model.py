@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
 from operator import itemgetter
-from typing import Iterable, List, Optional
+from typing import Iterable, List, Mapping, Optional
 from urllib.parse import quote
 
 
@@ -186,13 +186,16 @@ class ContentStore:
     Owned entries (the router is the object's anchor) never age out.  Cached
     entries are bounded by ``capacity`` (None = unbounded) and evicted LRU.
     ``anchored`` are the prefixes the router anchors: an ask under one of
-    them that the store cannot answer names no content.
+    them that the store cannot answer names no content.  ``owned`` may be a
+    read-only mapping that other stores share; ``add_owned`` then raises
+    ``TypeError``.
     """
 
-    def __init__(self, capacity: Optional[int] = None, anchored: Iterable[Prefix] = ()):
+    def __init__(self, capacity: Optional[int] = None, anchored: Iterable[Prefix] = (),
+                 owned: Optional[Mapping[Name, DataPacket]] = None):
         self.capacity = capacity
         self.anchored = tuple(anchored)
-        self.owned: dict[Name, DataPacket] = {}
+        self.owned: Mapping[Name, DataPacket] = {} if owned is None else owned
         self.cached: "OrderedDict[Name, DataPacket]" = OrderedDict()
         self.evictions = 0
 

@@ -11,7 +11,7 @@ consumer behind a refused interest simply waits for its timeout.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from .model import (
     CachingMode,
@@ -50,12 +50,13 @@ class NdnRouter:
                  pit_lifetime_ms: float = 4_000.0,
                  store_capacity: Optional[int] = None,
                  local_consumers: Iterable[str] = (),
-                 nonce_seed: object = 0):
+                 nonce_seed: object = 0,
+                 owned: Optional[Mapping[Name, DataPacket]] = None):
         self.router_id = router_id
         self.fib = fib
         self.caching_mode = caching_mode
         self.pit_lifetime_ms = pit_lifetime_ms
-        self.store = ContentStore(store_capacity, anchored)
+        self.store = ContentStore(store_capacity, anchored, owned)
         self.pit: Dict[Name, PitEntry] = {}
         # consumers attached here: edge caching keeps Data that one of them asked for
         self.local_consumers = frozenset(local_consumers)

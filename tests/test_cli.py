@@ -89,18 +89,34 @@ def test_exit_codes_for_config_problems(tmp_path, capsys):
     assert cli.main(["--help"]) == 0
 
 
-@pytest.mark.parametrize("line", ["sweep_interval_s = -1", "sample_interval_ms = -5",
-                                  "duration_s = 0"])
-def test_negative_timer_interval_exits_1_instead_of_hanging(tmp_path, line):
-    # a negative period used to re-arm its timer in the past, looping forever
+def _run_cli(tmp_path, line):
     cfg = write_cfg(tmp_path, CFG + line + "\n")
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     done = subprocess.run([sys.executable, "-m", "dartlab.cli", "run", cfg,
                            "--out", str(tmp_path / "r")],
                           capture_output=True, text=True, timeout=60, env=env)
     assert done.returncode == 1, done.stderr
-    assert f"config error: {line.split()[0]} must be > 0" in done.stderr
     assert "Traceback" not in done.stderr
+    return done.stderr
+
+
+@pytest.mark.parametrize("line", ["sweep_interval_s = -1", "sample_interval_ms = -5",
+                                  "duration_s = 0"])
+def test_negative_timer_interval_exits_1_instead_of_hanging(tmp_path, line):
+    # a negative period used to re-arm its timer in the past, looping forever
+    assert f"config error: {line.split()[0]} must be > 0" in _run_cli(tmp_path, line)
+
+
+@pytest.mark.parametrize("line,rule", [
+    ("sweep_interval_s = 1e-20", "sweep_interval_s must be >= duration_s / 10000000"),
+    ("sample_interval_ms = 1e-20",
+     "sample_interval_ms must be >= duration_s * 1000 / 10000000"),
+])
+def test_tiny_timer_interval_exits_1_instead_of_hanging(tmp_path, line, rule):
+    # a period too short to move the clock (now + period == now) re-armed its
+    # timer at the same instant forever
+    err = _run_cli(tmp_path, line)
+    assert err.splitlines() == [f"config error: {rule}, got 1e-20"]
 
 
 def test_importing_the_cli_loads_no_process_pool():

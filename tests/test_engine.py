@@ -15,6 +15,7 @@ from scipy import stats
 
 from dartlab.dart_node import DartRouter
 from dartlab.engine import (
+    MAX_TIMER_FIRINGS,
     AuditError,
     MetricsReport,
     Scheme,
@@ -463,6 +464,16 @@ def test_non_positive_timers_are_rejected(key, value):
         scripted_sim(**{key: value})
 
 
+@pytest.mark.parametrize("key", ["sweep_interval_ms", "sample_interval_ms"])
+def test_timers_firing_past_the_cap_are_rejected(key):
+    # a period too short to move the clock (now + period == now) re-armed
+    # its timer at the same instant forever
+    horizon = 1000.0
+    scripted_sim(duration_ms=horizon, **{key: horizon / MAX_TIMER_FIRINGS})
+    with pytest.raises(ValueError, match=f"{key} must be >= the run's length / "):
+        scripted_sim(duration_ms=horizon, **{key: 1e-20})
+
+
 def test_determinism_of_reports():
     topo = generate_topology(10, 60.0, 28.0, 5.0, seed=2)
     topo = topo.with_anchors({P: (topo.routers[1],)})
@@ -646,7 +657,8 @@ def _mixed_delay_topology(cfg):
 
 @pytest.mark.parametrize("caching", ["edge", "onpath", "none"])
 @pytest.mark.parametrize("scheme", ["dart", "ndn"])
-def test_mixed_delay_cell_outputs_are_pinned(scheme, caching, tmp_path, monkeypatch):
+def test_mixed_delay_cell_outputs_are_pinned(scheme, caching, tmp_path, monkeypatch,
+                                             fresh_world):
     monkeypatch.setattr(experiment, "build_topology", _mixed_delay_topology)
     path = tmp_path / "trace.txt"
     rep = simulate_cell(parse_config(GC_CELL), scheme, caching, 50.0, 1, str(path))

@@ -1,14 +1,17 @@
 import filecmp
 import json
 import pickle
-from dataclasses import fields
+from collections import Counter
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dartlab import experiment
 from dartlab.experiment import (
+    WORLD_FIELDS,
     ConfigError,
     ExperimentConfig,
     build_catalog,
@@ -16,7 +19,9 @@ from dartlab.experiment import (
     cell_filename,
     compare_dir,
     parse_config,
+    run_cell,
     run_experiment,
+    simulate_cell,
     write_comparison_csv,
 )
 from dartlab.model import Name, Prefix
@@ -94,6 +99,10 @@ def test_parse_config_defaults_and_overrides():
     ("rates = ,", "rates must be non-empty"),
     ("duration_s = 2\nsample_interval_ms = 5000",
      r"sample_interval_ms must be <= duration_s \* 1000 \* \(1 - warmup_frac\)"),
+    ("duration_s = 2\nsample_interval_ms = 1e-4",
+     r"sample_interval_ms must be >= duration_s \* 1000 / 10000000, got 0.0001"),
+    ("duration_s = 2\nsweep_interval_s = 1e-7",
+     "sweep_interval_s must be >= duration_s / 10000000, got 1e-07"),
 ])
 def test_parse_config_rejects(bad, frag):
     with pytest.raises(ConfigError, match=frag):
@@ -251,3 +260,85 @@ def test_compare_means_are_left_folds(tmp_path):
     assert summary["errors"] == []
     g = summary["groups"][("none", 10.0)]
     assert (g["dart_state"], g["ndn_state"]) == (0.0, 0.0)
+
+
+# --- the static world shared by a process's cells ---------------------------------
+
+WORLD = """\
+nodes = 8
+area = 30
+radius = 14
+link_delay_ms = 5
+topology_seed = 3
+producers = 2
+caching = edge
+rates = 20
+seeds = 1
+zipf_alpha = 0.7
+catalog = 40
+duration_s = 2
+retry_timeout_s = 5
+"""
+
+# one changed value per world field; each changes the cell's CSV
+WORLD_CHANGES = {"nodes": 9, "area": 32.0, "radius": 15.0, "link_delay_ms": 7.0,
+                 "topology_seed": 4, "producers": 3, "catalog": 50, "zipf_alpha": 0.9}
+
+
+def test_a_cell_after_a_cell_of_another_world_equals_a_cold_cell(tmp_path, fresh_world):
+    assert set(WORLD_CHANGES) == set(WORLD_FIELDS)
+    base = parse_config(WORLD)
+    cell = ("dart", "edge", 20.0, 1)
+    name = run_cell(base, *cell, tmp_path)
+    base_csv = (tmp_path / name).read_bytes()
+    for key, value in WORLD_CHANGES.items():
+        changed = replace(base, **{key: value})
+        warm, cold = tmp_path / key / "warm", tmp_path / key / "cold"
+        warm.mkdir(parents=True)
+        cold.mkdir()
+        run_cell(base, *cell, warm)
+        run_cell(changed, *cell, warm)
+        fresh_world.cache_clear()
+        run_cell(changed, *cell, cold)
+        got = (warm / name).read_bytes()
+        assert got == (cold / name).read_bytes(), key
+        assert got != base_csv, key
+
+
+def test_cells_leave_the_shared_world_as_it_was_built(fresh_world):
+    cfg = parse_config(WORLD)
+    key = tuple(getattr(cfg, k) for k in WORLD_FIELDS)
+    world = fresh_world(*key)
+    for scheme, caching, capacity in (("dart", "edge", 0), ("dart", "onpath", 5),
+                                      ("ndn", "onpath", 0), ("ndn", "edge", 0)):
+        rep = simulate_cell(replace(cfg, store_capacity=capacity), scheme, caching, 20.0, 1)
+        assert rep.delivered > 0
+        assert (rep.store_evictions > 0) == (capacity > 0)
+    assert fresh_world(*key) is world
+    fresh_world.cache_clear()
+    fresh = fresh_world(*key)
+    assert fresh is not world
+    assert world.topology.links == fresh.topology.links
+    assert world.topology.anchors == fresh.topology.anchors
+    assert ({r: fib.entries for r, fib in world.fibs.items()}
+            == {r: fib.entries for r, fib in fresh.fibs.items()})
+    assert world.catalog == fresh.catalog
+    assert ({a: dict(held) for a, held in world.owned.items()}
+            == {a: dict(held) for a, held in fresh.owned.items()})
+    assert world.zipf == fresh.zipf
+    # the anchors' packets cannot be written through a cell's store
+    held = next(iter(world.owned.values()))
+    with pytest.raises(TypeError):
+        held[Name.parse("/x")] = None
+
+
+def test_a_grid_builds_its_world_once_per_process(tmp_path, monkeypatch, fresh_world):
+    calls = Counter()
+    for name in ("compute_fibs", "build_catalog"):
+        def counted(*args, real=getattr(experiment, name), name=name):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(experiment, name, counted)
+    text = TINY.replace("seeds = 1", "seeds = 1,2")
+    assert len(run_experiment(parse_config(text), tmp_path, config_text=text)) == 4
+    assert calls == {"compute_fibs": 1, "build_catalog": 1}
