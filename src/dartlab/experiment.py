@@ -201,7 +201,7 @@ WORLD_FIELDS = ("nodes", "area", "radius", "link_delay_ms", "topology_seed",
 
 @dataclass(frozen=True)
 class World:
-    """The part of a cell its scheme, caching, rate and seed leave alone.
+    """What a cell is simulated on, built from the ``WORLD_FIELDS`` alone.
     Cells share it, so nothing may write into it: the anchors' packets are
     read-only mappings and the catalog and Zipf table are tuples."""
 

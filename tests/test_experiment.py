@@ -326,7 +326,7 @@ def test_cells_leave_the_shared_world_as_it_was_built(fresh_world):
     assert ({a: dict(held) for a, held in world.owned.items()}
             == {a: dict(held) for a, held in fresh.owned.items()})
     assert world.zipf == fresh.zipf
-    # the anchors' packets cannot be written through a cell's store
+    # every anchor's store holds its packets through a read-only mapping
     held = next(iter(world.owned.values()))
     with pytest.raises(TypeError):
         held[Name.parse("/x")] = None
