@@ -62,6 +62,7 @@ class DartEntry:
 class DartRouter:
     # counters under the names of the MetricsReport totals they add up to
     TOTALS = ("aggregated", "loop_nacks", "orphan_data", "orphan_nack", "dart_evicted")
+    TABLES = ("dart_legs", "rct")  # what table_sizes() reports, in its order
 
     def __init__(self, router_id: str, fib: Fib,
                  anchored: Tuple[Prefix, ...] = (),
@@ -100,7 +101,7 @@ class DartRouter:
         return self.evict_darts(now)
 
     def table_sizes(self) -> Tuple[int, int]:
-        """(dart entries incl. origin legs, RCT names)."""
+        """Sizes of TABLES: dart entries incl. origin legs, RCT names."""
         return (len(self.by_succ), len(self.rct))
 
     def give_up(self, consumer: str, name: Name):

@@ -23,7 +23,7 @@ from collections import Counter, OrderedDict, deque
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, repeat
 from operator import add
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -165,11 +165,11 @@ def fold_sum(values) -> float:
 
 
 def sample_table_sizes(routers: Dict[str, object]) -> Dict[str, tuple]:
-    """Forwarding-state size snapshot, each router's ``table_sizes()``:
-    (PIT entries,) for the baseline, (dart entries incl. origin legs, RCT
-    names) for DART.  Every RCT name is pending: an entry is deleted when
-    its Data or Nack comes back, or once every consumer waiting for it has
-    given up."""
+    """Forwarding-state size snapshot, each router's ``table_sizes()``, in
+    the order of its ``TABLES``: (PIT entries,) for the baseline, (dart
+    entries incl. origin legs, RCT names) for DART.  Every RCT name is
+    pending: an entry is deleted when its Data or Nack comes back, or once
+    every consumer waiting for it has given up."""
     return {rid: router.table_sizes() for rid, router in routers.items()}
 
 
@@ -179,15 +179,15 @@ class MetricsReport:
     caching: str
     rate: float
     routers: Tuple[str, ...]
-    # per-router (post-warmup samples); rct_pending_mean only for routers
-    # that keep an RCT
-    table_size_mean: Dict[str, float] = field(default_factory=dict)
-    table_size_max: Dict[str, int] = field(default_factory=dict)
-    rct_pending_mean: Dict[str, float] = field(default_factory=dict)
+    # the routers' TABLES, and per table {router: mean or peak} over the
+    # post-warmup samples
+    tables: Tuple[str, ...] = ()
+    table_mean: Dict[str, Dict[str, float]] = field(default_factory=dict)
+    table_max: Dict[str, Dict[str, int]] = field(default_factory=dict)
     interests_received: Dict[str, int] = field(default_factory=dict)
     delay_mean_ms: Dict[str, float] = field(default_factory=dict)
     delay_count: Dict[str, int] = field(default_factory=dict)
-    # across-router summary of per-router mean table size
+    # across-router summary of the per-router means of the first table
     table_size_router_mean: float = 0.0
     table_size_router_std: float = 0.0
     # totals
@@ -215,17 +215,20 @@ class MetricsReport:
 
     def rows(self) -> List[Tuple[str, str, float, str, str, float]]:
         """Flat rows matching the CSV contract:
-        (scheme, caching, rate, router, metric, value)."""
+        (scheme, caching, rate, router, metric, value).  The first table
+        gives ``table_size_*`` and an ``rct`` table ``rct_pending_mean``."""
         out = []
 
         def add(router, metric, value):
             out.append((self.scheme, self.caching, self.rate, router, metric, value))
 
+        first = self.tables[0]
+        rct = self.table_mean.get("rct")
         for r in self.routers:
-            add(r, "table_size_mean", self.table_size_mean.get(r, 0.0))
-            add(r, "table_size_max", self.table_size_max.get(r, 0))
-            if r in self.rct_pending_mean:
-                add(r, "rct_pending_mean", self.rct_pending_mean[r])
+            add(r, "table_size_mean", self.table_mean[first][r])
+            add(r, "table_size_max", self.table_max[first][r])
+            if rct is not None:
+                add(r, "rct_pending_mean", rct[r])
             add(r, "interests_received", self.interests_received.get(r, 0))
             add(r, "delay_count", self.delay_count.get(r, 0))
             if self.delay_count.get(r, 0):
@@ -340,6 +343,9 @@ class _Simulation:
         for prefix, anchors in topology.anchors.items():
             for a in anchors:
                 anchored[a].append(prefix)
+        attached: Dict[str, List[str]] = {}
+        for cid, r in consumers.items():
+            attached.setdefault(r, []).append(cid)
         if owned is None:
             owned = preload(topology, self.catalog)
         self.routers: Dict[str, object] = {}
@@ -351,7 +357,7 @@ class _Simulation:
             else:
                 node = NdnRouter(r, fibs[r], anchored[r], caching_mode,
                                  pit_lifetime_ms=pit_lifetime_ms, store_capacity=store_capacity,
-                                 local_consumers=[c for c, rr in consumers.items() if rr == r],
+                                 local_consumers=attached.get(r, ()),
                                  nonce_seed=workload.seed if workload is not None else 0,
                                  owned=owned.get(r))
             self.routers[r] = node
@@ -391,14 +397,16 @@ class _Simulation:
         self.audit = bool(audits) and scheme is Scheme.DART
         self.recent: deque = deque(maxlen=256)
 
-        # The report is filled as the loop runs; the sums behind its means
-        # (one per table a router reports) are kept beside it.
+        # The report is filled as the loop runs; the sums and peaks of the
+        # sampled sizes are kept beside it, flat, keyed (table, router).
         rl = tuple(topology.routers)
         self.report = MetricsReport(
             scheme.value, caching_mode.value,
             workload.per_router_rate if workload is not None else 0.0, rl,
-            table_size_max={r: 0 for r in rl}, delay_count={r: 0 for r in rl})
-        self.size_sums = {r: [0] * len(node.table_sizes()) for r, node in self.routers.items()}
+            self.routers[rl[0]].TABLES, delay_count={r: 0 for r in rl})
+        self.size_keys = [(t, r) for r, node in self.routers.items() for t in node.TABLES]
+        self.size_sums = [0] * len(self.size_keys)
+        self.size_peaks = [0] * len(self.size_keys)
         self.sample_count = 0
         self.delay_sum = {r: 0.0 for r in rl}
         self.open: OrderedDict = OrderedDict()
@@ -415,11 +423,9 @@ class _Simulation:
 
     def _sample(self, now: float) -> float:
         self.sample_count += 1
-        sums, peak = self.size_sums, self.report.table_size_max
-        for r, sizes in sample_table_sizes(self.routers).items():
-            sums[r] = list(map(add, sums[r], sizes))
-            if sizes[0] > peak[r]:
-                peak[r] = sizes[0]
+        sizes = list(chain.from_iterable(sample_table_sizes(self.routers).values()))
+        self.size_sums = list(map(add, self.size_sums, sizes))
+        self.size_peaks = list(map(max, self.size_peaks, sizes))
         return now + self.sample_interval_ms
 
     # -- main loop ----------------------------------------------------------
@@ -592,22 +598,20 @@ class _Simulation:
         return self._report()
 
     def _report(self) -> MetricsReport:
-        """Add what the routers hold to the report: sample means, Interest
-        counts and each router's TOTALS."""
+        """Add what the routers hold to the report: each table's sample mean
+        and peak, Interest counts and each router's TOTALS."""
         rep, k = self.report, self.sample_count
-        means = []
+        for (table, r), total, peak in zip(self.size_keys, self.size_sums, self.size_peaks):
+            rep.table_mean.setdefault(table, {})[r] = total / k if k else 0.0
+            rep.table_max.setdefault(table, {})[r] = peak
         for r, node in self.routers.items():
-            mean, *rct = [s / k if k else 0.0 for s in self.size_sums[r]]
-            rep.table_size_mean[r] = mean
-            means.append(mean)
-            if rct:
-                rep.rct_pending_mean[r] = rct[0]
             rep.interests_received[r] = node.interests_received
             if rep.delay_count[r]:
                 rep.delay_mean_ms[r] = self.delay_sum[r] / rep.delay_count[r]
             for key in node.TOTALS:
                 setattr(rep, key, getattr(rep, key) + getattr(node, key))
             rep.store_evictions += node.store.evictions
+        means = list(rep.table_mean[rep.tables[0]].values())
         mu = fold_sum(means) / len(means)
         rep.table_size_router_mean = mu
         rep.table_size_router_std = math.sqrt(

@@ -172,9 +172,15 @@ def build_catalog(cfg: ExperimentConfig, topology: Topology) -> List[Name]:
     return catalog
 
 
-def cell_filename(scheme: str, caching: str, rate: float, seed: int) -> str:
+def cell_stem(scheme: str, caching: str, rate: float, seed: int) -> str:
+    """A cell's name in its CSV's and its trace's file names; an integral
+    rate is written as an int, any other by its repr, so no two rates share it."""
     r = int(rate) if float(rate).is_integer() else rate
-    return f"metrics_{scheme}_{caching}_r{r}_s{seed}.csv"
+    return f"{scheme}_{caching}_r{r}_s{seed}"
+
+
+def cell_filename(scheme: str, caching: str, rate: float, seed: int) -> str:
+    return f"metrics_{cell_stem(scheme, caching, rate, seed)}.csv"
 
 
 CSV_HEADER = ("scheme", "caching", "rate", "router", "metric", "value")
@@ -259,13 +265,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir, config_text: str = "",
     """Run every cell in the config's cross-product; returns CSV names."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    cells = cfg.cells()
     tasks = []
-    for (scheme, caching, rate, seed) in cells:
-        trace = None
-        if trace_template:
-            trace = f"{trace_template}.{scheme}_{caching}_r{rate:g}_s{seed}"
-        tasks.append((cfg, scheme, caching, rate, seed, str(out), trace))
+    for cell in cfg.cells():
+        trace = f"{trace_template}.{cell_stem(*cell)}" if trace_template else None
+        tasks.append((cfg, *cell, str(out), trace))
     if cfg.workers > 1:
         # imported here: a one-worker run never loads the pool's machinery
         from concurrent.futures import ProcessPoolExecutor

@@ -43,6 +43,7 @@ class PitEntry:
 class NdnRouter:
     # counters under the names of the MetricsReport totals they add up to
     TOTALS = ("aggregated", "loop_nacks", "orphan_data", "pit_expired", "nacks_dropped")
+    TABLES = ("pit",)  # what table_sizes() reports, in its order
 
     def __init__(self, router_id: str, fib: Fib,
                  anchored: Tuple[Prefix, ...] = (),
@@ -83,7 +84,7 @@ class NdnRouter:
         return self.expire_pit(now)
 
     def table_sizes(self) -> Tuple[int]:
-        """(PIT entries,)."""
+        """Sizes of TABLES: PIT entries."""
         return (len(self.pit),)
 
     def give_up(self, consumer: str, name: Name):

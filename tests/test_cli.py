@@ -73,6 +73,16 @@ def test_run_trace_flag_writes_per_cell_traces(tmp_path):
     assert written == ["tr.dart_none_r20_s1", "tr.ndn_none_r20_s1"]
     first = (tmp_path / written[0]).read_text().splitlines()[0]
     assert first.startswith("t=") and (" RX " in first or " TX " in first)
+    # two rates that agree to six significant digits get a trace each,
+    # named like their CSVs
+    two = tmp_path / "two"
+    two.mkdir()
+    cfg = write_cfg(two, CFG.replace("rates = 20", "rates = 0.1234567, 0.1234568"))
+    assert cli.main(["run", cfg, "--out", str(two / "r"), "--trace", str(two / "tr")]) == 0
+    csvs = sorted(p.name[len("metrics_"):-len(".csv")] for p in (two / "r").glob("metrics_*"))
+    traces = sorted(p.name[len("tr."):] for p in two.glob("tr.*"))
+    assert len(csvs) == 4 and traces == csvs
+    assert "dart_none_r0.1234567_s1" in traces
 
 
 def test_exit_codes_for_config_problems(tmp_path, capsys):

@@ -201,6 +201,23 @@ def test_sample_table_sizes_idle_and_in_flight():
     dart["b"].on_neighbor_interest("a", out[0].message, 1.0)
     sizes = sample_table_sizes(dart)
     assert sizes["a"] == (1, 1) and sizes["b"] == (1, 0)
+    for router in (ndn["a"], dart["a"]):
+        assert len(router.table_sizes()) == len(router.TABLES)
+
+    # a run keeps the peak of every table by name: one consumer at a asks
+    # for two names at once, and c anchors them
+    topo, fibs = line_topology(3)
+    asks = [(0.0, "c.a", Name.parse("/p/0")), (0.0, "c.a", Name.parse("/p/1"))]
+    peaks = {}
+    for scheme in ("dart", "ndn"):
+        rep = run(topo, fibs, scheme, "none", requests=asks, consumers={"c.a": "a"},
+                  catalog=catalog(2), duration_ms=200.0, sample_interval_ms=1.0,
+                  warmup_fraction=0.0)
+        assert rep.delivered == 2 and rep.tables == tuple(rep.table_max)
+        peaks[scheme] = rep.table_max
+    assert peaks["dart"] == {"dart_legs": {"a": 1, "b": 1, "c": 0},
+                             "rct": {"a": 2, "b": 0, "c": 0}}
+    assert peaks["ndn"] == {"pit": {"a": 2, "b": 2, "c": 0}}
 
 
 # --- end-to-end basics ----------------------------------------------------------

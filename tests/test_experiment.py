@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dartlab import experiment
+from dartlab.engine import WorkloadSpec, generate_workload
 from dartlab.experiment import (
     WORLD_FIELDS,
     ConfigError,
@@ -25,6 +26,7 @@ from dartlab.experiment import (
     write_comparison_csv,
 )
 from dartlab.model import Name, Prefix
+from dartlab.routing import compute_fibs
 
 TINY = """\
 # two routers, one tiny cell per scheme
@@ -342,3 +344,44 @@ def test_a_grid_builds_its_world_once_per_process(tmp_path, monkeypatch, fresh_w
     text = TINY.replace("seeds = 1", "seeds = 1,2")
     assert len(run_experiment(parse_config(text), tmp_path, config_text=text)) == 4
     assert calls == {"compute_fibs": 1, "build_catalog": 1}
+
+
+# --- DART's size against its closed form -------------------------------------------
+
+def _rank1_routes_through(topo, fibs):
+    """{router: number of (origin router, prefix) rank-1 routes through it},
+    each route followed from its origin to the prefix's anchor, which it
+    does not count."""
+    through = {r: 0 for r in topo.routers}
+    for prefix, anchors in topo.anchors.items():
+        for origin in topo.routers:
+            hop = origin
+            while hop not in anchors:
+                through[hop] += 1
+                hop = fibs[hop].entries[prefix][0].next_hop
+    return through
+
+
+@pytest.mark.parametrize("nodes, area", [(12, 40.0), (20, 50.0)])
+@pytest.mark.parametrize("caching", ["none", "edge"])
+@pytest.mark.parametrize("rate", [10.0, 50.0])
+def test_dart_legs_peak_at_the_rank1_routes_through_each_router(nodes, area, caching, rate):
+    # Unperturbed FIBs and a run short of the dart TTL, so no leg is evicted,
+    # and every consumer asks under every prefix, so every route is taken.
+    # A relay's edge cache can answer all of one origin's asks under a
+    # prefix, and then the route's legs past it are never made: at rate 10
+    # on 20 routers with the default zipf_alpha of 1.2, 8 legs were missing.
+    # A flatter popularity spreads the asks over more names.
+    cfg = parse_config(f"nodes = {nodes}\narea = {area}\nlink_delay_ms = 5\n"
+                       "zipf_alpha = 0.7\ncatalog = 200\nduration_s = 5\n")
+    topo = build_topology(cfg)
+    prefixes = len(topo.anchors)
+    spec = WorkloadSpec(cfg.zipf_alpha, cfg.catalog, rate, cfg.duration_s, 1)
+    # catalog rank k is under the k mod P-th prefix
+    consumers = [f"c.{r}" for r in topo.routers]
+    asked = {(c, k % prefixes) for _, c, k in generate_workload(spec, consumers)}
+    assert len(asked) == nodes * prefixes
+    routes = _rank1_routes_through(topo, compute_fibs(topo))
+    assert max(routes.values()) > nodes
+    rep = simulate_cell(cfg, "dart", caching, rate, 1)
+    assert rep.table_max["dart_legs"] == routes
