@@ -23,6 +23,7 @@ from collections import Counter, OrderedDict, deque
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from functools import lru_cache
 from itertools import accumulate, chain, repeat
 from operator import add
 from types import MappingProxyType
@@ -36,6 +37,7 @@ from .model import (
     Nack,
     Name,
     NdnInterest,
+    Prefix,
     _esc_name,
 )
 from .ndn_node import NdnRouter
@@ -101,12 +103,14 @@ class WorkloadSpec:
             raise ValueError("rate and duration must be positive")
 
 
-def zipf_cumulative(alpha: float, size: int) -> List[float]:
-    """Running sums of ``k ** -alpha`` for ranks k = 1..size."""
-    return list(accumulate(map(pow, range(1, size + 1), repeat(-alpha))))
+@lru_cache(maxsize=1, typed=True)
+def zipf_cumulative(alpha: float, size: int) -> Tuple[float, ...]:
+    """Running sums of ``k ** -alpha`` for ranks k = 1..size, memoised for
+    the cells of a grid; typed, as an int alpha sums to ints, not floats."""
+    return tuple(accumulate(map(pow, range(1, size + 1), repeat(-alpha))))
 
 
-def _consumer_stream(spec: WorkloadSpec, consumer: str, cum: List[float]):
+def _consumer_stream(spec: WorkloadSpec, consumer: str, cum: Sequence[float]):
     uniform = random.Random(f"workload:{spec.seed}:{consumer}").random
     log = math.log
     rate = spec.per_router_rate
@@ -153,6 +157,34 @@ def preload(topology: Topology, catalog: Sequence[Name]
                     data = DataPacket(n)
                 held[n] = data
     return {a: MappingProxyType(held) for a, held in owned.items()}
+
+
+@dataclass(frozen=True)
+class World:
+    """The static data a cell is simulated on.  Cells share it, so nothing
+    may write into it: the catalog is a tuple, and the anchors' packets
+    (``preload``) are read-only mappings."""
+
+    topology: Topology
+    fibs: Dict[str, Fib]
+    catalog: Tuple[Name, ...]
+    owned: Dict[str, Mapping[Name, DataPacket]]
+    anchored: Dict[str, Tuple[Prefix, ...]]   # the prefixes each router anchors
+    # one-way link delay per (router, neighbour); sends over the delay
+    # most links share wait in a FIFO instead of the heap (see run)
+    delays: Dict[str, Dict[str, float]]
+    shared_delay: Optional[float]
+
+    @classmethod
+    def build(cls, topology: Topology, fibs: Dict[str, Fib], catalog: Sequence[Name]) -> World:
+        catalog = tuple(catalog)
+        shared = Counter(topology.links.values()).most_common(1)
+        return cls(topology, fibs, catalog, preload(topology, catalog),
+                   {r: tuple(p for p, anchors in topology.anchors.items() if r in anchors)
+                    for r in topology.routers},
+                   {r: {n: topology.delay(r, n) for n in topology.neighbors[r]}
+                    for r in topology.routers},
+                   shared[0][0] if shared else None)
 
 
 def fold_sum(values) -> float:
@@ -290,18 +322,15 @@ def _trace_line(now: float, router: str, direction: str, msg, peer: str) -> str:
 
 
 class _Simulation:
-    def __init__(self, topology: Topology, fibs: Dict[str, Fib], scheme: Scheme,
-                 caching_mode: CachingMode, *, workload=None, requests=None,
-                 consumers=None, catalog=None, owned=None, zipf=None, audits=True, trace=None,
+    def __init__(self, world: World, scheme: Scheme, caching_mode: CachingMode, *,
+                 workload=None, requests=None, consumers=None, audits=True, trace=None,
                  dart_ttl_ms=10_000.0, pit_lifetime_ms=4_000.0,
                  sweep_interval_ms=1_000.0, sample_interval_ms=100.0,
                  warmup_fraction=0.1, retry_timeout_ms=1_000.0, max_tries=3,
                  store_capacity=None, duration_ms=None):
         if workload is not None and requests is not None:
             raise ValueError("pass either a workload or scripted requests, not both")
-        if catalog is None:
-            raise ValueError("catalog of content names is required")
-        if workload is not None and len(catalog) < workload.catalog_size:
+        if workload is not None and len(world.catalog) < workload.catalog_size:
             raise ValueError("catalog smaller than workload.catalog_size")
         if workload is None and duration_ms is None:
             raise ValueError("duration_ms is required without a workload")
@@ -319,19 +348,14 @@ class _Simulation:
             if not self.horizon_ms <= MAX_TIMER_FIRINGS * value:
                 raise ValueError(f"{key} must be >= the run's length / {MAX_TIMER_FIRINGS}, "
                                  f"got {value}")
-        self.catalog: Sequence[Name] = catalog
+        self.world = world
         self.max_tries = max_tries
         self.retry_timeout_ms = retry_timeout_ms
         self.sweep_interval_ms = sweep_interval_ms
         self.sample_interval_ms = sample_interval_ms
         self.trace = trace
-        # one-way link delay per (router, neighbour); sends over the delay
-        # most links share wait in a FIFO instead of the heap (see run)
-        self.delays = {r: {n: topology.delay(r, n) for n in topology.neighbors[r]}
-                       for r in topology.routers}
-        shared = Counter(topology.links.values()).most_common(1)
-        self.shared_delay = shared[0][0] if shared else None
 
+        topology = world.topology
         if consumers is None:
             consumers = {f"c.{r}": r for r in topology.routers}
         for cid in consumers:
@@ -339,41 +363,34 @@ class _Simulation:
                 raise ValueError(f"consumer id collides with a router id: {cid}")
         self.consumer_router: Dict[str, str] = dict(consumers)
 
-        anchored: Dict[str, List] = {r: [] for r in topology.routers}
-        for prefix, anchors in topology.anchors.items():
-            for a in anchors:
-                anchored[a].append(prefix)
         attached: Dict[str, List[str]] = {}
         for cid, r in consumers.items():
             attached.setdefault(r, []).append(cid)
-        if owned is None:
-            owned = preload(topology, self.catalog)
         self.routers: Dict[str, object] = {}
         for r in topology.routers:
             if scheme is Scheme.DART:
-                node = DartRouter(r, fibs[r], anchored[r], caching_mode,
+                node = DartRouter(r, world.fibs[r], world.anchored[r], caching_mode,
                                   dart_ttl_ms=dart_ttl_ms, store_capacity=store_capacity,
-                                  owned=owned.get(r))
+                                  owned=world.owned.get(r))
             else:
-                node = NdnRouter(r, fibs[r], anchored[r], caching_mode,
+                node = NdnRouter(r, world.fibs[r], world.anchored[r], caching_mode,
                                  pit_lifetime_ms=pit_lifetime_ms, store_capacity=store_capacity,
                                  local_consumers=attached.get(r, ()),
                                  nonce_seed=workload.seed if workload is not None else 0,
-                                 owned=owned.get(r))
+                                 owned=world.owned.get(r))
             self.routers[r] = node
         # Initial events as (time, kind, data).  A workload request carries
         # its consumer's stream: the loop pulls that consumer's next request
         # when it pops this one, so each consumer has at most one pending.
         events = []
         if workload is not None:
-            if zipf is None:
-                zipf = zipf_cumulative(workload.zipf_alpha, workload.catalog_size)
+            zipf = zipf_cumulative(workload.zipf_alpha, workload.catalog_size)
             for consumer in sorted(self.consumer_router):
                 stream = _consumer_stream(workload, consumer, zipf)
                 first = next(stream, None)
                 if first is not None:
                     events.append((first[0], _REQUEST,
-                                   (consumer, self.catalog[first[2]], stream)))
+                                   (consumer, world.catalog[first[2]], stream)))
         elif requests:
             for (t, consumer, name) in requests:
                 if consumer not in self.consumer_router:
@@ -451,10 +468,10 @@ class _Simulation:
         a collection would only walk live objects."""
         heap, pop, push = self.heap, heapq.heappop, heapq.heappush
         sends: deque = deque()
-        send, take, shared = sends.append, sends.popleft, self.shared_delay
+        send, take, consumer_router = sends.append, sends.popleft, self.consumer_router
         handlers = {r: node.handlers() for r, node in self.routers.items()}
         asks = {r: node.ask for r, node in self.routers.items()}
-        consumer_router, delays, catalog = self.consumer_router, self.delays, self.catalog
+        delays, shared, catalog = self.world.delays, self.world.shared_delay, self.world.catalog
         rep, open_requests, delay_sum = self.report, self.open, self.delay_sum
         delay_count, nacked_by_code = rep.delay_count, rep.nacked_by_code
         warm, horizon = self.warmup_ms, self.horizon_ms
@@ -619,19 +636,21 @@ class _Simulation:
         return rep
 
 
-def run(topology: Topology, fibs: Dict[str, Fib], scheme, caching_mode,
-        workload: Optional[WorkloadSpec] = None, audits: bool = True,
-        *, trace_path: Optional[str] = None, **kwargs) -> MetricsReport:
-    """Simulate one cell and return its metrics.
-
-    Exactly one of ``workload`` / ``requests=[(time_ms, consumer, name), ...]``
-    drives traffic.  ``catalog`` (the content names that exist; anchors
-    preload everything matching their prefixes) is always required.  A
-    caller that keeps ``preload(topology, catalog)`` or the workload's
-    ``zipf_cumulative`` table may pass them as ``owned`` and ``zipf``;
-    otherwise they are built here.  The run only reads them.
-    """
+def simulate(world: World, scheme, caching_mode, workload: Optional[WorkloadSpec] = None,
+             audits: bool = True, *, trace_path: Optional[str] = None,
+             **params) -> MetricsReport:
+    """Simulate one cell on ``world``, which it only reads.  Exactly one of
+    ``workload`` / ``requests=[(time_ms, consumer, name), ...]`` drives traffic."""
     with open(trace_path, "w") if trace_path else nullcontext() as fh:
-        sim = _Simulation(topology, fibs, Scheme(scheme), CachingMode(caching_mode),
-                          workload=workload, audits=audits, trace=fh, **kwargs)
+        sim = _Simulation(world, Scheme(scheme), CachingMode(caching_mode),
+                          workload=workload, audits=audits, trace=fh, **params)
         return sim.run()
+
+
+def run(topology: Topology, fibs: Dict[str, Fib], scheme, caching_mode,
+        workload: Optional[WorkloadSpec] = None, audits: bool = True, *,
+        catalog: Sequence[Name], **params) -> MetricsReport:
+    """``simulate`` on a world built for this run alone; anchors hold the
+    names of ``catalog`` (the content that exists) under their prefixes."""
+    return simulate(World.build(topology, fibs, catalog), scheme, caching_mode,
+                    workload, audits, **params)

@@ -18,21 +18,20 @@ import random
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from . import __version__
 from .engine import (
     MAX_TIMER_FIRINGS,
     MetricsReport,
     Scheme,
+    World,
     WorkloadSpec,
     fold_sum,
-    preload,
-    run,
-    zipf_cumulative,
+    simulate,
 )
-from .model import CachingMode, DataPacket, Name, Prefix
-from .routing import Fib, Topology, compute_fibs, generate_topology
+from .model import CachingMode, Name, Prefix
+from .routing import Topology, compute_fibs, generate_topology
 
 
 class ConfigError(Exception):
@@ -75,11 +74,13 @@ class ExperimentConfig:
 
         need(self.nodes >= 1, "nodes", ">= 1")
         need(self.producers >= 0, "producers", ">= 0")
-        for key in ("link_delay_ms", "dart_ttl_s", "pit_lifetime_s",
+        for key in ("dart_ttl_s", "pit_lifetime_s",
                     "retry_timeout_s", "sample_interval_ms", "sweep_interval_s"):
             need(getattr(self, key) > 0, key, "> 0")
-        # an infinite duration or rate never runs out of requests
+        # an infinite duration or rate never runs out of requests, and over
+        # an infinite link delay no packet ever arrives
         need(0 < self.duration_s < math.inf, "duration_s", "> 0 and finite")
+        need(0 < self.link_delay_ms < math.inf, "link_delay_ms", "> 0 and finite")
         need(all(0 < r < math.inf for r in self.rates), "rates", "> 0 and finite")
         need(self.catalog >= 1, "catalog", ">= 1")
         need(self.max_tries >= 1, "max_tries", ">= 1")
@@ -130,7 +131,7 @@ def _parse_value(default, value: str):
 def parse_config(text: str) -> ExperimentConfig:
     base = ExperimentConfig()
     keys = {f.name for f in fields(base)}
-    values = {}
+    values, set_on = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -141,6 +142,9 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: expected key = value, got {raw!r}")
         if key not in keys:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in set_on:
+            raise ConfigError(f"line {lineno}: key {key!r} already set on line {set_on[key]}")
+        set_on[key] = lineno
         try:
             values[key] = _parse_value(getattr(base, key), value)
         except ValueError as e:
@@ -202,20 +206,7 @@ def write_rows(path: Path, rows) -> None:
 
 # The config fields a cell's static world is built from, and nothing else.
 WORLD_FIELDS = ("nodes", "area", "radius", "link_delay_ms", "topology_seed",
-                "producers", "catalog", "zipf_alpha")
-
-
-@dataclass(frozen=True)
-class World:
-    """What a cell is simulated on, built from the ``WORLD_FIELDS`` alone.
-    Cells share it, so nothing may write into it: the anchors' packets are
-    read-only mappings and the catalog and Zipf table are tuples."""
-
-    topology: Topology
-    fibs: Dict[str, Fib]
-    catalog: Tuple[Name, ...]
-    owned: Dict[str, Mapping[Name, DataPacket]]
-    zipf: Tuple[float, ...]
+                "producers", "catalog")
 
 
 @lru_cache(maxsize=1, typed=True)
@@ -225,9 +216,7 @@ def build_world(*values) -> World:
     first cell, and every later cell with the same fields reuses it."""
     cfg = ExperimentConfig(**dict(zip(WORLD_FIELDS, values)))
     topo = build_topology(cfg)
-    catalog = tuple(build_catalog(cfg, topo))
-    return World(topo, compute_fibs(topo), catalog, preload(topo, catalog),
-                 tuple(zipf_cumulative(cfg.zipf_alpha, cfg.catalog)))
+    return World.build(topo, compute_fibs(topo), build_catalog(cfg, topo))
 
 
 def simulate_cell(cfg: ExperimentConfig, scheme: str, caching: str, rate: float,
@@ -236,16 +225,14 @@ def simulate_cell(cfg: ExperimentConfig, scheme: str, caching: str, rate: float,
     one place a config's fields become engine arguments."""
     world = build_world(*(getattr(cfg, key) for key in WORLD_FIELDS))
     wl = WorkloadSpec(cfg.zipf_alpha, cfg.catalog, rate, cfg.duration_s, seed)
-    return run(world.topology, world.fibs, scheme, caching, workload=wl,
-               catalog=world.catalog, owned=world.owned, zipf=world.zipf,
-               trace_path=trace_path, audits=cfg.audit,
-               dart_ttl_ms=cfg.dart_ttl_s * 1000.0,
-               pit_lifetime_ms=cfg.pit_lifetime_s * 1000.0,
-               retry_timeout_ms=cfg.retry_timeout_s * 1000.0,
-               max_tries=cfg.max_tries, warmup_fraction=cfg.warmup_frac,
-               sample_interval_ms=cfg.sample_interval_ms,
-               sweep_interval_ms=cfg.sweep_interval_s * 1000.0,
-               store_capacity=cfg.store_capacity or None)
+    return simulate(world, scheme, caching, wl, cfg.audit, trace_path=trace_path,
+                    dart_ttl_ms=cfg.dart_ttl_s * 1000.0,
+                    pit_lifetime_ms=cfg.pit_lifetime_s * 1000.0,
+                    retry_timeout_ms=cfg.retry_timeout_s * 1000.0,
+                    max_tries=cfg.max_tries, warmup_fraction=cfg.warmup_frac,
+                    sample_interval_ms=cfg.sample_interval_ms,
+                    sweep_interval_ms=cfg.sweep_interval_s * 1000.0,
+                    store_capacity=cfg.store_capacity or None)
 
 
 def run_cell(cfg: ExperimentConfig, scheme: str, caching: str, rate: float,

@@ -229,9 +229,3 @@ class ContentStore:
         if d is not None:
             self.cached.move_to_end(name)
         return d
-
-    def __contains__(self, name: Name) -> bool:
-        return name in self.owned or name in self.cached
-
-    def __len__(self):
-        return len(self.owned) + len(self.cached)

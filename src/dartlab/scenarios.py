@@ -24,7 +24,7 @@ import io
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from .engine import Scheme, _Simulation
+from .engine import Scheme, World, _Simulation
 from .model import CachingMode, Name, Prefix
 from .routing import (
     Topology,
@@ -67,9 +67,8 @@ class _Checks:
 def _simulate(topo, fibs, scheme, requests, consumers, *, caching="none",
               duration_ms=1000.0, **kw):
     buf = io.StringIO()
-    sim = _Simulation(topo, fibs, scheme, CachingMode(caching),
-                      requests=requests, consumers=consumers,
-                      catalog=[OBJ, OBJ2], duration_ms=duration_ms,
+    sim = _Simulation(World.build(topo, fibs, [OBJ, OBJ2]), scheme, CachingMode(caching),
+                      requests=requests, consumers=consumers, duration_ms=duration_ms,
                       trace=buf, warmup_fraction=0.0, **kw)
     report = sim.run()
     return sim, report, buf.getvalue().splitlines()

@@ -100,7 +100,10 @@ def test_exit_codes_for_config_problems(tmp_path, capsys):
 
 
 def _run_cli(tmp_path, line):
-    cfg = write_cfg(tmp_path, CFG + line + "\n")
+    # the line takes the place of CFG's line for its key: a key set twice is refused
+    key = line.partition("=")[0]
+    cfg = write_cfg(tmp_path, "".join(l for l in CFG.splitlines(keepends=True)
+                                      if not l.startswith(key)) + line + "\n")
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     done = subprocess.run([sys.executable, "-m", "dartlab.cli", "run", cfg,
                            "--out", str(tmp_path / "r")],

@@ -305,7 +305,7 @@ def test_evicted_content_is_fetched_again_through_a_fresh_rct_entry():
     a.on_data("b", DataPacket(OBJ2, f2.message.dart), 3.0)
     assert not a.rct                 # satisfied entries never outlive their Data
     assert a.store.evictions == 1
-    assert OBJ not in a.store and OBJ2 in a.store
+    assert OBJ not in a.store.cached and OBJ2 in a.store.cached
     # the evicted name goes out again and waits in a new entry
     assert a.on_local_interest("c2", OBJ, 4.0) == \
         [("b", Interest(OBJ, f1.message.hop_count, f1.message.dart))]

@@ -19,6 +19,7 @@ from dartlab.engine import (
     AuditError,
     MetricsReport,
     Scheme,
+    World,
     WorkloadSpec,
     _Simulation,
     generate_workload,
@@ -149,8 +150,8 @@ def test_preload_equals_a_prefix_matches_reference(scheme):
     topo = Topology(ids, {("a", "b"): 5.0, ("b", "c"): 5.0, ("c", "d"): 5.0}, anchored)
     names = [Name.parse(t) for t in ("/p", "/p/0", "/p/q/1", "/p/q/s/2", "/p/qq/3",
                                       "/r/4", "/r", "/x/5", "/p/0")]
-    sim = _Simulation(topo, compute_fibs(topo), Scheme(scheme), CachingMode.EDGE,
-                      catalog=names, duration_ms=1_000.0)
+    sim = _Simulation(World.build(topo, compute_fibs(topo), names), Scheme(scheme),
+                      CachingMode.EDGE, duration_ms=1_000.0)
     for r in ids:
         owned = sim.routers[r].store.owned
         expected = {n for n in names
@@ -277,9 +278,9 @@ def test_retry_counts_as_received_interest_and_gives_up():
             return []
 
     topo2, fibs2 = line_topology(3)
-    sim = _Simulation(topo2, fibs2, Scheme.NDN, CachingMode.NONE,
+    sim = _Simulation(World.build(topo2, fibs2, catalog()), Scheme.NDN, CachingMode.NONE,
                       requests=[(0.0, "c.a", Name.parse("/p/0"))],
-                      consumers={"c.a": "a"}, catalog=catalog(),
+                      consumers={"c.a": "a"},
                       duration_ms=8000.0, retry_timeout_ms=500.0, max_tries=3,
                       pit_lifetime_ms=100_000.0)
     mute = MuteRouter("b", fibs2["b"], pit_lifetime_ms=100_000.0)
@@ -295,9 +296,9 @@ def test_a_retry_recovers_a_response_lost_on_the_way():
     # from a instead of waiting behind the pending RCT entry, and delivered
     topo, fibs = line_topology(3)
     buf = io.StringIO()
-    sim = _Simulation(topo, fibs, Scheme.DART, CachingMode.NONE,
+    sim = _Simulation(World.build(topo, fibs, catalog()), Scheme.DART, CachingMode.NONE,
                       requests=[(0.0, "c.a", Name.parse("/p/0"))],
-                      consumers={"c.a": "a"}, catalog=catalog(), duration_ms=5000.0,
+                      consumers={"c.a": "a"}, duration_ms=5000.0,
                       warmup_fraction=0.0, trace=buf)
     relay = sim.routers["b"].on_data
     lost = []
@@ -323,9 +324,9 @@ def test_an_abandoned_request_leaves_no_rct_entry():
     # keeping it pending
     topo, fibs = line_topology(3)
     buf = io.StringIO()
-    sim = _Simulation(topo, fibs, Scheme.DART, CachingMode.EDGE,
+    sim = _Simulation(World.build(topo, fibs, catalog()), Scheme.DART, CachingMode.EDGE,
                       requests=[(0.0, "c.a", Name.parse("/p/0"))],
-                      consumers={"c.a": "a"}, catalog=catalog(), duration_ms=5000.0,
+                      consumers={"c.a": "a"}, duration_ms=5000.0,
                       max_tries=4, trace=buf)
     sim.routers["b"].on_data = lambda sender, data, now: None
     give_up, calls = sim.routers["a"].give_up, []
@@ -346,8 +347,8 @@ def _run_peak_bytes(duration_s):
     # their retries would fall due
     topo, fibs = line_topology(3, delay=5.0)
     spec = WorkloadSpec(0.8, 50, per_router_rate=200.0, duration=duration_s, seed=1)
-    sim = _Simulation(topo, fibs, Scheme.DART, CachingMode.NONE, workload=spec,
-                      consumers={"c.a": "a"}, catalog=catalog(50),
+    sim = _Simulation(World.build(topo, fibs, catalog(50)), Scheme.DART, CachingMode.NONE,
+                      workload=spec, consumers={"c.a": "a"},
                       retry_timeout_ms=1000.0 * duration_s + 60_000.0)
     tracemalloc.start()
     try:
@@ -372,10 +373,10 @@ def test_a_request_asked_again_is_retried_at_its_own_due_time():
     # first request's due time (t=1000) passes without a retry
     topo, fibs = line_topology(3)
     buf = io.StringIO()
-    sim = _Simulation(topo, fibs, Scheme.DART, CachingMode.NONE,
+    sim = _Simulation(World.build(topo, fibs, catalog()), Scheme.DART, CachingMode.NONE,
                       requests=[(0.0, "c.a", Name.parse("/p/0")),
                                 (500.0, "c.a", Name.parse("/p/0"))],
-                      consumers={"c.a": "a"}, catalog=catalog(), duration_ms=5000.0,
+                      consumers={"c.a": "a"}, duration_ms=5000.0,
                       retry_timeout_ms=1000.0, trace=buf)
     relay = sim.routers["b"].on_data
     dropped = []
@@ -511,9 +512,10 @@ def test_determinism_of_reports():
 def scripted_sim(**kw):
     topo, fibs = line_topology(4)
     args = dict(requests=[(0.0, "c.a", Name.parse("/p/0"))],
-                consumers={"c.a": "a"}, catalog=catalog(), duration_ms=2000.0)
+                consumers={"c.a": "a"}, duration_ms=2000.0)
     args.update(kw)
-    return topo, fibs, _Simulation(topo, fibs, Scheme.DART, CachingMode.NONE, **args)
+    return topo, fibs, _Simulation(World.build(topo, fibs, catalog()), Scheme.DART,
+                                   CachingMode.NONE, **args)
 
 
 def test_audit_catches_non_descending_hop_budget():
@@ -545,18 +547,17 @@ def test_audit_error_survives_a_pickle_round_trip():
 def test_scripted_requests_need_a_duration():
     topo, fibs = line_topology(2)
     with pytest.raises(ValueError, match="duration_ms"):
-        _Simulation(topo, fibs, Scheme.DART, CachingMode.NONE,
+        _Simulation(World.build(topo, fibs, catalog()), Scheme.DART, CachingMode.NONE,
                     requests=[(0.0, "c.a", Name.parse("/p/0"))],
-                    consumers={"c.a": "a"}, catalog=catalog())
+                    consumers={"c.a": "a"})
 
 
 def test_audit_catches_forwarding_revisit():
     # six-router line so hop budgets stay legal while b and c ping-pong
     topo, fibs = line_topology(6)
-    sim = _Simulation(topo, fibs, Scheme.DART, CachingMode.NONE,
+    sim = _Simulation(World.build(topo, fibs, catalog()), Scheme.DART, CachingMode.NONE,
                       requests=[(0.0, "c.a", Name.parse("/p/0"))],
-                      consumers={"c.a": "a"}, catalog=catalog(),
-                      duration_ms=2000.0)
+                      consumers={"c.a": "a"}, duration_ms=2000.0)
     sim.routers["b"].on_neighbor_interest = \
         lambda s, i, now: [Emission(("c", Interest(i.name, i.hop_count - 1, 88)))]
     sim.routers["c"].on_neighbor_interest = \
@@ -770,10 +771,9 @@ def test_trace_keeps_late_data_at_its_origin_as_rx():
     # is not an orphan (the leg is live), so it is received, not dropped
     topo, fibs = line_topology(3)
     buf = io.StringIO()
-    sim = _Simulation(topo, fibs, Scheme.DART, CachingMode.EDGE,
+    sim = _Simulation(World.build(topo, fibs, catalog()), Scheme.DART, CachingMode.EDGE,
                       requests=[(0.0, "c.a", Name.parse("/p/0"))],
-                      consumers={"c.a": "a"}, catalog=catalog(),
-                      duration_ms=500.0, trace=buf)
+                      consumers={"c.a": "a"}, duration_ms=500.0, trace=buf)
     relay = sim.routers["b"].on_data
     sim.routers["b"].on_data = lambda s, d, now: 2 * relay(s, d, now)
     rep = sim.run()

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dartlab import experiment
-from dartlab.engine import WorkloadSpec, generate_workload
+from dartlab.engine import WorkloadSpec, generate_workload, run
 from dartlab.experiment import (
     WORLD_FIELDS,
     ConfigError,
@@ -76,6 +76,8 @@ def test_parse_config_defaults_and_overrides():
     ("nodes = 0", "nodes must be >= 1"),
     ("producers = -1", "producers must be >= 0"),
     ("link_delay_ms = 0", "link_delay_ms must be > 0"),
+    ("link_delay_ms = inf", "link_delay_ms must be > 0 and finite"),
+    ("rates = 10\nrates = 20", "line 2: key 'rates' already set on line 1"),
     ("duration_s = 0", "duration_s must be > 0"),
     ("rates = 10, -1", "rates must be > 0"),
     ("rates = nan", "rates must be > 0"),
@@ -282,13 +284,14 @@ duration_s = 2
 retry_timeout_s = 5
 """
 
-# one changed value per world field; each changes the cell's CSV
+# one changed value per world field, and one for the Zipf table's memo;
+# each changes the cell's CSV
 WORLD_CHANGES = {"nodes": 9, "area": 32.0, "radius": 15.0, "link_delay_ms": 7.0,
                  "topology_seed": 4, "producers": 3, "catalog": 50, "zipf_alpha": 0.9}
 
 
 def test_a_cell_after_a_cell_of_another_world_equals_a_cold_cell(tmp_path, fresh_world):
-    assert set(WORLD_CHANGES) == set(WORLD_FIELDS)
+    assert set(WORLD_CHANGES) == set(WORLD_FIELDS) | {"zipf_alpha"}
     base = parse_config(WORLD)
     cell = ("dart", "edge", 20.0, 1)
     name = run_cell(base, *cell, tmp_path)
@@ -327,11 +330,34 @@ def test_cells_leave_the_shared_world_as_it_was_built(fresh_world):
     assert world.catalog == fresh.catalog
     assert ({a: dict(held) for a, held in world.owned.items()}
             == {a: dict(held) for a, held in fresh.owned.items()})
-    assert world.zipf == fresh.zipf
+    assert world.anchored == fresh.anchored
+    assert world.delays == fresh.delays
+    assert world.shared_delay == fresh.shared_delay
     # every anchor's store holds its packets through a read-only mapping
     held = next(iter(world.owned.values()))
     with pytest.raises(TypeError):
         held[Name.parse("/x")] = None
+
+
+@pytest.mark.parametrize("scheme, caching", [("dart", "edge"), ("ndn", "onpath")])
+def test_a_one_off_world_runs_as_the_shared_world(scheme, caching, tmp_path, fresh_world):
+    # engine.run builds its own world from a list catalog; simulate_cell
+    # reuses the process's memoised one
+    cfg = replace(parse_config(WORLD), store_capacity=5)
+    shared_trace, own_trace = tmp_path / "shared", tmp_path / "own"
+    shared = simulate_cell(cfg, scheme, caching, 20.0, 1, str(shared_trace))
+    topo = build_topology(cfg)
+    own = run(topo, compute_fibs(topo), scheme, caching,
+              WorkloadSpec(cfg.zipf_alpha, cfg.catalog, 20.0, cfg.duration_s, 1), cfg.audit,
+              catalog=build_catalog(cfg, topo), trace_path=str(own_trace),
+              dart_ttl_ms=cfg.dart_ttl_s * 1000.0,
+              pit_lifetime_ms=cfg.pit_lifetime_s * 1000.0,
+              retry_timeout_ms=cfg.retry_timeout_s * 1000.0, max_tries=cfg.max_tries,
+              warmup_fraction=cfg.warmup_frac, sample_interval_ms=cfg.sample_interval_ms,
+              sweep_interval_ms=cfg.sweep_interval_s * 1000.0, store_capacity=5)
+    assert shared.delivered > 0 and shared.store_evictions > 0
+    assert own.rows() == shared.rows()
+    assert own_trace.read_bytes() == shared_trace.read_bytes()
 
 
 def test_a_grid_builds_its_world_once_per_process(tmp_path, monkeypatch, fresh_world):

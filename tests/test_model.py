@@ -110,12 +110,12 @@ def test_content_store_owned_beats_cache_and_lru_evicts():
     assert cs.get(n1) is own
     cs.cache(DataPacket(n2))
     cs.cache(DataPacket(n3))
-    assert n2 in cs and n3 in cs and len(cs) == 3
+    assert list(cs.owned) == [n1] and list(cs.cached) == [n2, n3]
     cs.get(n2)  # refresh n2, so n3 is the LRU victim
     cs.cache(DataPacket(Name.parse("/o/4")))
-    assert n3 not in cs and cs.evictions == 1
+    assert n3 not in cs.cached and cs.evictions == 1
     assert cs.get(n3) is None
-    assert cs.get(n1) is own and n2 in cs and len(cs) == 3
+    assert cs.get(n1) is own and list(cs.cached) == [n2, Name.parse("/o/4")]
 
 
 def test_content_store_anchors_names_under_its_prefixes():
@@ -129,4 +129,4 @@ def test_content_store_unbounded_by_default():
     cs = ContentStore()
     for i in range(1000):
         cs.cache(DataPacket(Name.parse(f"/x/{i}")))
-    assert len(cs) == 1000 and cs.evictions == 0
+    assert len(cs.cached) == 1000 and cs.evictions == 0
