@@ -6,11 +6,11 @@ A DART router keeps state per *route in use*, not per in-flight interest:
   a shortest path toward an anchor.  Every interest, data and nack riding
   that route refreshes the entry; an idle timer reclaims it.
 * The response-correlation table (RCT) exists only at consumer-facing
-  routers and maps each name a local consumer waits for to the set of
-  those consumers.  An entry lives from the first ask until its Data or
-  Nack comes back, or until every consumer in it gives up; a consumer that
-  asks again while it waits re-sends the Interest, so a lost response
-  cannot block the name.
+  routers and maps each name a local consumer waits for to a tuple of
+  those consumers, in the order they asked.  An entry lives from the first
+  ask until its Data or Nack comes back, or until every consumer in it
+  gives up; a consumer that asks again while it waits re-sends the
+  Interest, so a lost response cannot block the name.
 
 An interest from a neighbour is only accepted if some admissible next hop is
 strictly closer to an anchor than the hop budget the interest carries and is
@@ -21,7 +21,7 @@ no matter how inconsistent the routing tables are.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from .model import (
     CachingMode,
@@ -75,7 +75,7 @@ class DartRouter:
         self.caching_mode = caching_mode
         self.dart_ttl_ms = dart_ttl_ms
         self.store = ContentStore(store_capacity, anchored, owned)
-        self.rct: Dict[Name, Set[str]] = {}
+        self.rct: Dict[Name, Tuple[str, ...]] = {}
         # every live entry appears in both indexes; origin legs also in _origin
         self.by_pred: Dict[Tuple[str, int], DartEntry] = {}
         self.by_succ: Dict[int, DartEntry] = {}
@@ -109,8 +109,10 @@ class DartRouter:
         once no consumer waits for it."""
         waiting = self.rct.get(name)
         if waiting is not None:
-            waiting.discard(consumer)
-            if not waiting:
+            rest = tuple(c for c in waiting if c != consumer)
+            if rest:
+                self.rct[name] = rest
+            else:
                 del self.rct[name]
 
     # -- dart bookkeeping --------------------------------------------------
@@ -171,7 +173,7 @@ class DartRouter:
         waiting = self.rct.get(name)
         if waiting is not None:
             if consumer not in waiting:
-                waiting.add(consumer)
+                self.rct[name] = waiting + (consumer,)
                 self.aggregated += 1
                 return []
             # The consumer already waits here: only its retry gets here, so
@@ -191,7 +193,7 @@ class DartRouter:
                                             t.next_hop, sd, t.distance, now))
         leg.last_used = now
         if waiting is None:
-            self.rct[name] = {consumer}
+            self.rct[name] = (consumer,)
         return [Emission((leg.successor, Interest(name, leg.hop_count, leg.successor_dart)))]
 
     def on_neighbor_interest(self, sender: str, interest: Interest, now: float) -> List[Emission]:

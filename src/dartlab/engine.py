@@ -339,10 +339,12 @@ class _Simulation:
         # A non-positive period would re-arm its timer at or before now
         # forever, and so would one too short to move now (now + period == now).
         for key, value in (("sweep_interval_ms", sweep_interval_ms),
-                           ("sample_interval_ms", sample_interval_ms),
-                           ("retry_timeout_ms", retry_timeout_ms)):
+                           ("sample_interval_ms", sample_interval_ms)):
             if not value > 0:
                 raise ValueError(f"{key} must be > 0, got {value}")
+        # an infinite retry timer would fire after the run's end
+        if not 0 < retry_timeout_ms < math.inf:
+            raise ValueError(f"retry_timeout_ms must be > 0 and finite, got {retry_timeout_ms}")
         for key, value in (("sweep_interval_ms", sweep_interval_ms),
                            ("sample_interval_ms", sample_interval_ms)):
             if not self.horizon_ms <= MAX_TIMER_FIRINGS * value:
@@ -405,7 +407,9 @@ class _Simulation:
         if first_sample <= self.horizon_ms:
             events.append((first_sample, _SAMPLE, None))
         # Heap entries are (time, seq, kind, data): seq breaks time ties in
-        # push order, and _seq counts every event pushed.
+        # push order, and _seq counts every event pushed.  It also numbers
+        # each retry due time, including those an answer cancels before
+        # they fire, so it exceeds the count of events dispatched.
         self.heap: List[tuple] = [(t, seq, kind, data)
                                   for seq, (t, kind, data) in enumerate(events, 1)]
         heapq.heapify(self.heap)
@@ -442,7 +446,7 @@ class _Simulation:
         self.sample_count += 1
         sizes = list(chain.from_iterable(sample_table_sizes(self.routers).values()))
         self.size_sums = list(map(add, self.size_sums, sizes))
-        self.size_peaks = list(map(max, self.size_peaks, sizes))
+        self.size_peaks = [s if s > p else p for p, s in zip(self.size_peaks, sizes)]
         return now + self.sample_interval_ms
 
     # -- main loop ----------------------------------------------------------

@@ -74,12 +74,13 @@ class ExperimentConfig:
 
         need(self.nodes >= 1, "nodes", ">= 1")
         need(self.producers >= 0, "producers", ">= 0")
-        for key in ("dart_ttl_s", "pit_lifetime_s",
-                    "retry_timeout_s", "sample_interval_ms", "sweep_interval_s"):
+        for key in ("dart_ttl_s", "pit_lifetime_s", "sample_interval_ms", "sweep_interval_s"):
             need(getattr(self, key) > 0, key, "> 0")
-        # an infinite duration or rate never runs out of requests, and over
-        # an infinite link delay no packet ever arrives
+        # an infinite duration or rate never runs out of requests, over an
+        # infinite link delay no packet ever arrives, and an infinite retry
+        # timer fires after the run's end
         need(0 < self.duration_s < math.inf, "duration_s", "> 0 and finite")
+        need(0 < self.retry_timeout_s < math.inf, "retry_timeout_s", "> 0 and finite")
         need(0 < self.link_delay_ms < math.inf, "link_delay_ms", "> 0 and finite")
         need(all(0 < r < math.inf for r in self.rates), "rates", "> 0 and finite")
         need(self.catalog >= 1, "catalog", ">= 1")

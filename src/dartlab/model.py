@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
 from operator import itemgetter
-from typing import Iterable, List, Mapping, Optional
+from typing import Dict, Iterable, List, Mapping, Optional
 from urllib.parse import quote
 
 
@@ -181,10 +181,13 @@ def _esc_name(name: Name) -> str:
 
 
 class ContentStore:
-    """Owned content plus an LRU cache of passing data.
+    """Owned content plus a cache of passing data.
 
     Owned entries (the router is the object's anchor) never age out.  Cached
-    entries are bounded by ``capacity`` (None = unbounded) and evicted LRU.
+    entries are bounded by ``capacity`` (None = unbounded).  Only a bounded
+    store keeps recency: its cache is an ``OrderedDict`` evicted LRU.  An
+    unbounded one never evicts, so its cache is a plain ``dict``, which a
+    hit leaves as it is.
     ``anchored`` are the prefixes the router anchors: an ask under one of
     them that the store cannot answer names no content.  ``owned`` may be a
     read-only mapping that other stores share; ``add_owned`` then raises
@@ -196,7 +199,7 @@ class ContentStore:
         self.capacity = capacity
         self.anchored = tuple(anchored)
         self.owned: Mapping[Name, DataPacket] = {} if owned is None else owned
-        self.cached: "OrderedDict[Name, DataPacket]" = OrderedDict()
+        self.cached: Dict[Name, DataPacket] = {} if capacity is None else OrderedDict()
         self.evictions = 0
 
     def anchors(self, name: Name) -> bool:
@@ -213,11 +216,14 @@ class ContentStore:
         name = data.name
         if name in self.owned:
             return
+        if self.capacity is None:
+            self.cached.setdefault(name, data)
+            return
         if name in self.cached:
             self.cached.move_to_end(name)
             return
         self.cached[name] = data
-        if self.capacity is not None and len(self.cached) > self.capacity:
+        if len(self.cached) > self.capacity:
             self.cached.popitem(last=False)
             self.evictions += 1
 
@@ -226,6 +232,6 @@ class ContentStore:
         if d is not None:
             return d
         d = self.cached.get(name)
-        if d is not None:
+        if d is not None and self.capacity is not None:
             self.cached.move_to_end(name)
         return d

@@ -2,10 +2,13 @@
 
 Classic stateful forwarding.  Every distinct name being fetched holds a PIT
 entry at every router on its path; entries either pop when data returns or
-sit until their lifetime runs out.  Loops are caught (probabilistically) by
-nonce matching, and this baseline keeps the historical behaviour of treating
-a refusal as silence: routers drop nacks rather than propagate them, so a
-consumer behind a refused interest simply waits for its timeout.
+sit until their lifetime runs out.  An entry holds its expiry and its
+in-records: the faces its Interests arrived on, as a list in arrival order,
+one per Interest (a consumer's retry adds its face again).  Loops are caught
+(probabilistically) by nonce matching, and this baseline keeps the
+historical behaviour of treating a refusal as silence: routers drop nacks
+rather than propagate them, so a consumer behind a refused interest simply
+waits for its timeout.
 """
 
 from __future__ import annotations
@@ -33,10 +36,11 @@ ON_PATH, EDGE = CachingMode.ON_PATH, CachingMode.EDGE
 class PitEntry:
     __slots__ = ("in_records", "expiry")
 
-    def __init__(self, expiry: float):
-        # nonce -> interface the interest arrived on (insertion-ordered, so
-        # data fan-out is deterministic)
-        self.in_records: Dict[int, str] = {}
+    def __init__(self, expiry: float, face: str):
+        # the faces Interests arrived on, in arrival order, so data fan-out
+        # is deterministic.  Their nonces are not kept: each passed
+        # seen_nonces on the way in, so none repeats, and nothing reads them.
+        self.in_records: List[str] = [face]
         self.expiry = expiry
 
 
@@ -105,7 +109,7 @@ class NdnRouter:
         self.seen_nonces.add(nonce)
         entry = self.pit.get(name)
         if entry is not None:
-            entry.in_records[nonce] = sender
+            entry.in_records.append(sender)
             self.aggregated += 1
             return []
         # most routers anchor nothing and skip the test
@@ -120,9 +124,7 @@ class NdnRouter:
                     break
         if nxt is None:
             return [Emission((sender, Nack(name, NackCode.NO_ROUTE)))]
-        entry = PitEntry(now + self.pit_lifetime_ms)
-        entry.in_records[nonce] = sender
-        self.pit[name] = entry
+        self.pit[name] = PitEntry(now + self.pit_lifetime_ms, sender)
         # the Interest is immutable and travels on as it came
         return [Emission((nxt.next_hop, interest))]
 
@@ -133,10 +135,10 @@ class NdnRouter:
             self.orphan_data += 1
             return None
         # Data carries no per-hop state here, so the packet itself travels on
-        out = [Emission((iface, data)) for iface in entry.in_records.values()]
+        out = [Emission((iface, data)) for iface in entry.in_records]
         mode = self.caching_mode
         if mode is ON_PATH or (mode is EDGE and
-                               not self.local_consumers.isdisjoint(entry.in_records.values())):
+                               not self.local_consumers.isdisjoint(entry.in_records)):
             self.store.cache(data)
         return out
 

@@ -38,7 +38,7 @@ def test_local_interest_creates_origin_leg_and_pending_rct():
     assert dst == "b" and isinstance(msg, Interest)
     assert msg.hop_count == 3  # distance to anchor via b
     assert a.table_size() == 1
-    assert a.rct == {OBJ: {"c1"}}  # every RCT entry is pending
+    assert a.rct == {OBJ: ("c1",)}  # every RCT entry is pending
     leg = a.by_succ[msg.dart]
     assert leg.predecessor == "a" and leg.predecessor_dart == msg.dart
     assert leg.successor == "b" and leg.anchor == "d"
@@ -50,7 +50,7 @@ def test_local_interest_aggregates_second_consumer():
     a.on_local_interest("c1", OBJ, now=0.0)
     out = a.on_local_interest("c2", OBJ, now=1.0)
     assert out == [] and a.aggregated == 1
-    assert a.rct == {OBJ: {"c1", "c2"}}
+    assert a.rct == {OBJ: ("c1", "c2")}
     assert a.table_size() == 1  # no extra route state for an aggregated ask
 
 
@@ -63,13 +63,13 @@ def test_waiting_consumer_that_asks_again_resends_the_interest():
     (first,) = a.on_local_interest("c1", OBJ, now=0.0)
     assert a.on_local_interest("c2", OBJ, now=1.0) == []
     assert a.on_local_interest("c1", OBJ, now=2.0) == [first]
-    assert a.rct == {OBJ: {"c1", "c2"}} and a.aggregated == 1
+    assert a.rct == {OBJ: ("c1", "c2")} and a.aggregated == 1
     assert a.table_size() == 1 and a.by_succ[first.message.dart].last_used == 2.0
     # the origin leg idled out meanwhile: the re-sent Interest opens a new one
     a.evict_darts(now=60_000.0)
     (again,) = a.on_local_interest("c2", OBJ, now=60_001.0)
     assert again.message.dart != first.message.dart and a.table_size() == 1
-    assert a.rct == {OBJ: {"c1", "c2"}} and a.aggregated == 1
+    assert a.rct == {OBJ: ("c1", "c2")} and a.aggregated == 1
     assert a.interests_received == 4
 
 
@@ -79,7 +79,7 @@ def test_origin_leg_shared_across_names_to_same_anchor():
     (d1,) = [e.message.dart for e in a.on_local_interest("c1", OBJ, 0.0)]
     (d2,) = [e.message.dart for e in a.on_local_interest("c1", OBJ2, 0.0)]
     assert d1 == d2 and a.table_size() == 1
-    assert a.rct == {OBJ: {"c1"}, OBJ2: {"c1"}}
+    assert a.rct == {OBJ: ("c1",), OBJ2: ("c1",)}
 
 
 def test_local_interest_store_hit_short_circuits():
@@ -235,6 +235,26 @@ def test_data_at_origin_fans_out_sorted_and_settles_rct():
     assert a.on_local_interest("c9", OBJ, 4.0) == [("c9", DataPacket(OBJ))]
 
 
+def test_rct_entry_keeps_aggregated_consumers_until_each_gives_up():
+    _, fibs = line_fibs()
+    a = make("a", fibs)
+    (fwd,) = a.on_local_interest("c3", OBJ, 0.0)
+    assert a.on_local_interest("c1", OBJ, 0.0) == []
+    assert a.on_local_interest("c2", OBJ, 0.0) == []
+    assert a.rct == {OBJ: ("c3", "c1", "c2")} and a.aggregated == 2
+    a.give_up("c1", OBJ)
+    assert a.rct == {OBJ: ("c3", "c2")}
+    a.give_up("c9", OBJ)  # not waiting here: nothing changes
+    assert a.rct == {OBJ: ("c3", "c2")}
+    # fan-out is sorted, not in the order the consumers asked
+    out = a.on_data("b", DataPacket(OBJ, fwd.message.dart), 1.0)
+    assert out == [("c2", DataPacket(OBJ)), ("c3", DataPacket(OBJ))] and not a.rct
+    # the last consumer to give up takes the entry with it
+    a.on_local_interest("c1", OBJ2, 2.0)
+    a.give_up("c1", OBJ2)
+    assert not a.rct
+
+
 def test_data_at_origin_caching_none_drops_rct_entry():
     a, sd = origin_with_pending(mode=CachingMode.NONE)
     a.on_data("b", DataPacket(OBJ, sd), 3.0)
@@ -309,4 +329,4 @@ def test_evicted_content_is_fetched_again_through_a_fresh_rct_entry():
     # the evicted name goes out again and waits in a new entry
     assert a.on_local_interest("c2", OBJ, 4.0) == \
         [("b", Interest(OBJ, f1.message.hop_count, f1.message.dart))]
-    assert a.rct == {OBJ: {"c2"}}
+    assert a.rct == {OBJ: ("c2",)}

@@ -482,6 +482,12 @@ def test_non_positive_timers_are_rejected(key, value):
         scripted_sim(**{key: value})
 
 
+def test_infinite_retry_timeout_is_rejected():
+    # an infinite retry timer fired after the run's end, at t=inf
+    with pytest.raises(ValueError, match="retry_timeout_ms must be > 0 and finite, got inf"):
+        scripted_sim(retry_timeout_ms=math.inf)
+
+
 @pytest.mark.parametrize("key", ["sweep_interval_ms", "sample_interval_ms"])
 def test_timers_firing_past_the_cap_are_rejected(key):
     # a period too short to move the clock (now + period == now) re-armed

@@ -86,6 +86,7 @@ def test_parse_config_defaults_and_overrides():
     ("dart_ttl_s = -1", "dart_ttl_s must be > 0"),
     ("pit_lifetime_s = 0", "pit_lifetime_s must be > 0"),
     ("retry_timeout_s = nan", "retry_timeout_s must be > 0"),
+    ("retry_timeout_s = inf", "retry_timeout_s must be > 0 and finite"),
     ("catalog = 0", "catalog must be >= 1"),
     ("max_tries = 0", "max_tries must be >= 1"),
     ("zipf_alpha = nan", "zipf_alpha must be finite"),

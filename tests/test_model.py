@@ -126,7 +126,14 @@ def test_content_store_anchors_names_under_its_prefixes():
 
 
 def test_content_store_unbounded_by_default():
+    # only a bounded store evicts, so only it keeps an LRU order
     cs = ContentStore()
-    for i in range(1000):
-        cs.cache(DataPacket(Name.parse(f"/x/{i}")))
+    names = [Name.parse(f"/x/{i}") for i in range(1000)]
+    for n in names:
+        cs.cache(DataPacket(n))
+    first = cs.cached[names[0]]
+    assert cs.get(names[0]) is first
+    cs.cache(DataPacket(names[0]))  # already held: the first copy stays
+    assert type(cs.cached) is dict and list(cs.cached) == names
+    assert cs.cached[names[0]] is first
     assert len(cs.cached) == 1000 and cs.evictions == 0

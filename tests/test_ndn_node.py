@@ -36,7 +36,7 @@ def test_interest_creates_pit_and_forwards_best_hop():
     assert out == [("c", NdnInterest(OBJ, 111))]  # nonce travels unchanged
     assert out[0].message is interest  # forwarded as received, not rebuilt
     e = b.pit[OBJ]
-    assert e.in_records == {111: "a"}
+    assert e.in_records == ["a"] and b.seen_nonces == {111}
     assert e.expiry == 4_000.0 and b.table_sizes() == (1,)
 
 
@@ -55,7 +55,7 @@ def test_interest_aggregates_and_does_not_extend_expiry():
     out = b.on_interest("x", NdnInterest(OBJ, 222), now=1_000.0)
     assert out == [] and b.aggregated == 1
     e = b.pit[OBJ]
-    assert list(e.in_records.items()) == [(111, "a"), (222, "x")]
+    assert e.in_records == ["a", "x"] and b.seen_nonces == {111, 222}
     assert e.expiry == 4_000.0  # still anchored to creation time
 
 
@@ -91,12 +91,16 @@ def test_interest_skips_sender_interface():
 
 
 def test_data_pops_pit_and_fans_out_in_arrival_order():
+    # a consumer's retry carries a fresh nonce and adds its face again, so
+    # that face gets the Data twice
     _, fibs = line_fibs()
     b = make("b", fibs)
-    b.on_interest("a", NdnInterest(OBJ, 1), 0.0)
-    b.on_interest("x", NdnInterest(OBJ, 2), 1.0)
+    b.on_interest("x", NdnInterest(OBJ, 1), 0.0)
+    b.on_interest("a", NdnInterest(OBJ, 2), 1.0)
+    b.on_interest("x", NdnInterest(OBJ, 3), 2.0)
+    assert b.pit[OBJ].in_records == ["x", "a", "x"] and b.aggregated == 2
     out = b.on_data("c", DataPacket(OBJ), 2.0)
-    assert out == [("a", DataPacket(OBJ)), ("x", DataPacket(OBJ))]
+    assert out == [("x", DataPacket(OBJ)), ("a", DataPacket(OBJ)), ("x", DataPacket(OBJ))]
     assert b.table_sizes() == (0,)
     assert b.on_data("c", DataPacket(OBJ), 3.0) is None
     assert b.orphan_data == 1
