@@ -76,7 +76,8 @@ class DartRouter:
         self.dart_ttl_ms = dart_ttl_ms
         self.store = ContentStore(store_capacity, anchored, owned)
         self.rct: Dict[Name, Tuple[str, ...]] = {}
-        # every live entry appears in both indexes; origin legs also in _origin
+        # every live entry is in by_succ, and in one of by_pred (relay legs,
+        # looked up by sender and token) and _origin (origin legs)
         self.by_pred: Dict[Tuple[str, int], DartEntry] = {}
         self.by_succ: Dict[int, DartEntry] = {}
         self._origin: Dict[Tuple[str, str], DartEntry] = {}  # (anchor, successor)
@@ -130,17 +131,19 @@ class DartRouter:
         return d
 
     def _add_entry(self, entry: DartEntry) -> DartEntry:
-        self.by_pred[(entry.predecessor, entry.predecessor_dart)] = entry
         self.by_succ[entry.successor_dart] = entry
         if entry.predecessor == self.router_id:
             self._origin[(entry.anchor, entry.successor)] = entry
+        else:
+            self.by_pred[(entry.predecessor, entry.predecessor_dart)] = entry
         return entry
 
     def _drop_entry(self, entry: DartEntry):
-        del self.by_pred[(entry.predecessor, entry.predecessor_dart)]
         del self.by_succ[entry.successor_dart]
         if entry.predecessor == self.router_id:
-            self._origin.pop((entry.anchor, entry.successor), None)
+            del self._origin[(entry.anchor, entry.successor)]
+        else:
+            del self.by_pred[(entry.predecessor, entry.predecessor_dart)]
 
     def evict_darts(self, now: float) -> int:
         cutoff = now - self.dart_ttl_ms

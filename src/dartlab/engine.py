@@ -95,12 +95,13 @@ class WorkloadSpec:
     seed: object = 0
 
     def __post_init__(self):
-        if self.zipf_alpha < 0:
-            raise ValueError("zipf_alpha must be >= 0")
+        # NaN fails every comparison, so these refuse it too
+        if not 0 <= self.zipf_alpha < math.inf:
+            raise ValueError("zipf_alpha must be >= 0 and finite")
         if self.catalog_size < 1:
             raise ValueError("catalog_size must be >= 1")
-        if self.per_router_rate <= 0 or self.duration <= 0:
-            raise ValueError("rate and duration must be positive")
+        if not (0 < self.per_router_rate < math.inf and 0 < self.duration < math.inf):
+            raise ValueError("rate and duration must be > 0 and finite")
 
 
 @lru_cache(maxsize=1, typed=True)
@@ -139,23 +140,15 @@ def generate_workload(spec: WorkloadSpec, consumers: Sequence[str]):
 def preload(topology: Topology, catalog: Sequence[Name]
             ) -> Dict[str, Mapping[Name, DataPacket]]:
     """Each anchor's content, read-only: ``{router: {name: packet}}`` for
-    the catalog names under the prefixes the router anchors.  One pass over
-    the catalog: a name is looked up once per distinct anchored-prefix
-    length, and every anchor of every prefix covering it holds the same
-    packet."""
-    owned: Dict[str, dict] = {}
-    by_length: Dict[int, Dict[tuple, List[dict]]] = {}
-    for prefix, anchors in topology.anchors.items():
-        by_length.setdefault(len(prefix), {})[prefix] = [
-            owned.setdefault(a, {}) for a in anchors]
-    lookups = tuple(by_length.items())
+    the catalog names under the prefixes the router anchors.  Every anchor
+    of a name holds the same packet."""
+    owned = {a: {} for anchors in topology.anchors.values() for a in anchors}
     for n in catalog:
-        data = None
-        for length, stores in lookups:
-            for held in stores.get(n[:length], ()):
-                if data is None:
-                    data = DataPacket(n)
-                held[n] = data
+        data = DataPacket(n)
+        for prefix, anchors in topology.anchors.items():
+            if prefix.matches(n):
+                for a in anchors:
+                    owned[a][n] = data
     return {a: MappingProxyType(held) for a, held in owned.items()}
 
 

@@ -167,14 +167,9 @@ def build_topology(cfg: ExperimentConfig) -> Topology:
 
 def build_catalog(cfg: ExperimentConfig, topology: Topology) -> List[Name]:
     """Popularity rank k maps to producer prefix k mod P, so hot objects are
-    spread across producers instead of piling onto one anchor.  Each
-    prefix's names are built in one ``Prefix.names`` call."""
+    spread across producers instead of piling onto one anchor."""
     prefixes = sorted(topology.anchors)
-    step = len(prefixes)
-    catalog = [None] * cfg.catalog
-    for i, prefix in enumerate(prefixes):
-        catalog[i::step] = prefix.names(map("o{:05d}".format, range(i, cfg.catalog, step)))
-    return catalog
+    return [Name((*prefixes[k % len(prefixes)], f"o{k:05d}")) for k in range(cfg.catalog)]
 
 
 def cell_stem(scheme: str, caching: str, rate: float, seed: int) -> str:

@@ -10,9 +10,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
 from operator import itemgetter
-from typing import Dict, Iterable, List, Mapping, Optional
+from typing import Dict, Iterable, Mapping, Optional
 from urllib.parse import quote
 
 
@@ -89,17 +88,6 @@ class Prefix(tuple):
 
     def matches(self, name: Name) -> bool:
         return name[:len(self)] == self
-
-    def names(self, leaves: Iterable[str]) -> List[Name]:
-        """``Name((*self, leaf))`` for each of ``leaves``, in order, built
-        in C.  The prefix's components were checked when it was built, so
-        only the leaves are, and a bad one raises what ``Name`` would."""
-        leaves = list(leaves)
-        if not all(leaves) or "/" in "".join(leaves):
-            for leaf in leaves:
-                _checked(Name, (leaf,))
-        # zip yields the (*self, leaf) component tuples
-        return list(map(tuple.__new__, repeat(Name), zip(*map(repeat, self), leaves)))
 
     def __str__(self):
         return "/" + "/".join(self)

@@ -42,6 +42,10 @@ def test_local_interest_creates_origin_leg_and_pending_rct():
     leg = a.by_succ[msg.dart]
     assert leg.predecessor == "a" and leg.predecessor_dart == msg.dart
     assert leg.successor == "b" and leg.anchor == "d"
+    # an origin leg is found by (anchor, successor); no sender ever names
+    # it, so it is not indexed by predecessor
+    assert a._origin == {("d", "b"): leg}
+    assert a.by_pred == {}
 
 
 def test_local_interest_aggregates_second_consumer():
@@ -299,10 +303,12 @@ def test_evict_darts_is_idle_based():
 
 def test_evicted_origin_leg_is_recreated_on_next_ask():
     a, sd = origin_with_pending()
-    a.evict_darts(now=60_000.0)
+    assert a.evict_darts(now=60_000.0) == 1
     assert a.table_size() == 0
+    assert a.by_succ == a.by_pred == a._origin == {}
     (fwd,) = a.on_local_interest("c3", OBJ2, 60_001.0)
     assert a.table_size() == 1 and fwd.message.dart != sd
+    assert list(a._origin.values()) == [a.by_succ[fwd.message.dart]] and a.by_pred == {}
 
 
 def test_fresh_dart_wraps_and_skips_in_use():

@@ -138,6 +138,12 @@ def test_workload_spec_validation():
         WorkloadSpec(0.7, 0, 1.0, 1.0)
     with pytest.raises(ValueError):
         WorkloadSpec(0.7, 10, 0.0, 1.0)
+    # NaN or infinite: an infinite rate or duration never runs out of requests
+    for alpha, rate, duration in ((math.nan, 1.0, 1.0), (math.inf, 1.0, 1.0),
+                                  (0.7, math.inf, 1.0), (0.7, math.nan, 1.0),
+                                  (0.7, 1.0, math.inf), (0.7, 1.0, math.nan)):
+        with pytest.raises(ValueError):
+            WorkloadSpec(alpha, 10, rate, duration)
 
 
 @pytest.mark.parametrize("scheme", ["dart", "ndn"])

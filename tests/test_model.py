@@ -64,28 +64,6 @@ def test_prefix_matching():
     assert Prefix.parse(str(p)) == p
 
 
-def test_prefix_names_equal_names_built_one_by_one():
-    leaves = ["o1", "o0", "x y", "o1"]
-    for p in (Prefix.parse("/video/cats"), Prefix.parse("/")):
-        names = p.names(iter(leaves))
-        assert names == [Name((*p, leaf)) for leaf in leaves]
-        assert all(type(n) is Name for n in names)
-    assert Prefix.parse("/a").names([]) == []
-
-
-@pytest.mark.parametrize("bad", ["", "a/b", "/", "b/"])
-@pytest.mark.parametrize("at", [0, 1, 3])
-def test_prefix_names_reject_what_name_rejects(bad, at):
-    leaves = ["o0", "o1", "o2"]
-    leaves.insert(at, bad)
-    p = Prefix.parse("/p")
-    with pytest.raises(NameError_) as one_by_one:
-        [Name((*p, leaf)) for leaf in leaves]
-    with pytest.raises(NameError_) as bulk:
-        p.names(leaves)
-    assert str(bulk.value) == str(one_by_one.value)
-
-
 def test_interest_invariants():
     n = Name.parse("/a")
     Interest(n, 4, 99)
