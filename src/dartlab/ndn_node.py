@@ -2,10 +2,11 @@
 
 Classic stateful forwarding.  Every distinct name being fetched holds a PIT
 entry at every router on its path; entries either pop when data returns or
-sit until their lifetime runs out.  An entry holds its expiry and its
-in-records: the faces its Interests arrived on, as a list in arrival order,
+sit until their lifetime runs out.  An entry is a tuple record of its expiry
+and its in-records: the faces its Interests arrived on, in arrival order,
 one per Interest (a consumer's retry adds its face again).  Loops are caught
-(probabilistically) by nonce matching, and this baseline keeps the
+(probabilistically) by nonce matching against every nonce the router has
+seen, kept as the keys of a dict in arrival order.  This baseline keeps the
 historical behaviour of treating a refusal as silence: routers drop nacks
 rather than propagate them, so a consumer behind a refused interest simply
 waits for its timeout.
@@ -14,7 +15,8 @@ waits for its timeout.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from operator import itemgetter
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .model import (
     CachingMode,
@@ -33,15 +35,17 @@ from .routing import Fib
 ON_PATH, EDGE = CachingMode.ON_PATH, CachingMode.EDGE
 
 
-class PitEntry:
-    __slots__ = ("in_records", "expiry")
+class PitEntry(tuple):
+    """``PitEntry((expiry, face, face, ...))``: a tuple built in C, as
+    ``Emission`` is.  The faces are the in-records, in arrival order, so
+    data fan-out is deterministic; aggregation replaces the entry with one
+    that has one more face.  Their nonces are not kept: each passed
+    ``seen_nonces`` on the way in, so none repeats, and nothing reads them."""
 
-    def __init__(self, expiry: float, face: str):
-        # the faces Interests arrived on, in arrival order, so data fan-out
-        # is deterministic.  Their nonces are not kept: each passed
-        # seen_nonces on the way in, so none repeats, and nothing reads them.
-        self.in_records: List[str] = [face]
-        self.expiry = expiry
+    __slots__ = ()
+
+    expiry = property(itemgetter(0))
+    in_records = property(itemgetter(slice(1, None)))
 
 
 class NdnRouter:
@@ -65,7 +69,9 @@ class NdnRouter:
         self.pit: Dict[Name, PitEntry] = {}
         # consumers attached here: edge caching keeps Data that one of them asked for
         self.local_consumers = frozenset(local_consumers)
-        self.seen_nonces: Set[int] = set()
+        # nonce -> None, in arrival order: a dict takes under a third of a
+        # set's memory here, and an age-based purge would drop from the front
+        self.seen_nonces: Dict[int, None] = {}
         # a local consumer's Interest carries a nonce from this generator
         self._nonce_bits = random.Random(f"nonce:{nonce_seed}:{router_id}").getrandbits
         self.interests_received = 0
@@ -106,10 +112,10 @@ class NdnRouter:
             # the same interest came around again: classic duplicate kill
             self.loop_nacks += 1
             return [Emission((sender, Nack(name, NackCode.LOOP)))]
-        self.seen_nonces.add(nonce)
+        self.seen_nonces[nonce] = None
         entry = self.pit.get(name)
         if entry is not None:
-            entry.in_records.append(sender)
+            self.pit[name] = PitEntry((*entry, sender))
             self.aggregated += 1
             return []
         # most routers anchor nothing and skip the test
@@ -124,7 +130,7 @@ class NdnRouter:
                     break
         if nxt is None:
             return [Emission((sender, Nack(name, NackCode.NO_ROUTE)))]
-        self.pit[name] = PitEntry(now + self.pit_lifetime_ms, sender)
+        self.pit[name] = PitEntry((now + self.pit_lifetime_ms, sender))
         # the Interest is immutable and travels on as it came
         return [Emission((nxt.next_hop, interest))]
 
@@ -135,10 +141,10 @@ class NdnRouter:
             self.orphan_data += 1
             return None
         # Data carries no per-hop state here, so the packet itself travels on
-        out = [Emission((iface, data)) for iface in entry.in_records]
+        faces = entry.in_records
+        out = [Emission((iface, data)) for iface in faces]
         mode = self.caching_mode
-        if mode is ON_PATH or (mode is EDGE and
-                               not self.local_consumers.isdisjoint(entry.in_records)):
+        if mode is ON_PATH or (mode is EDGE and not self.local_consumers.isdisjoint(faces)):
             self.store.cache(data)
         return out
 

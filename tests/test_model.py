@@ -8,10 +8,22 @@ from dartlab.model import (
     ContentStore,
     DataPacket,
     Interest,
+    Nack,
+    NackCode,
     Name,
     NameError_,
+    NdnInterest,
     Prefix,
 )
+
+N = Name.parse("/a/b")
+# one of each wire message, with every field set, and its dataclass repr
+MESSAGES = [
+    (Interest(N, 4, 99), "Interest(name=Name('/a/b'), hop_count=4, dart=99)"),
+    (DataPacket(N, 5), "DataPacket(name=Name('/a/b'), dart=5)"),
+    (Nack(N, NackCode.LOOP, 7), "Nack(name=Name('/a/b'), code=<NackCode.LOOP: 'loop'>, dart=7)"),
+    (NdnInterest(N, 2**64 - 1), f"NdnInterest(name=Name('/a/b'), nonce={2**64 - 1})"),
+]
 
 
 def test_name_parse_roundtrip():
@@ -73,6 +85,70 @@ def test_interest_invariants():
         Interest(n, 4, 0)
     with pytest.raises(ValueError):
         Interest(n, 4, MAX_DART + 1)
+
+
+@pytest.mark.parametrize("hop_count, dart, ok", [
+    (1, 1, True), (1, MAX_DART, True), (0, 1, False), (-3, 1, False),
+    (1, 0, False), (1, -1, False), (1, MAX_DART + 1, False),
+])
+def test_interest_checks_its_ranges_when_built_and_unpickled(hop_count, dart, ok):
+    # unpickling runs __new__, so a record built around the checks is caught
+    pickled = pickle.dumps(tuple.__new__(Interest, (N, hop_count, dart)))
+    if ok:
+        assert Interest(N, hop_count, dart) == pickle.loads(pickled)
+    else:
+        with pytest.raises(ValueError):
+            Interest(N, hop_count, dart)
+        with pytest.raises(ValueError):
+            pickle.loads(pickled)
+
+
+@pytest.mark.parametrize("msg, text", MESSAGES)
+def test_message_fields_and_repr(msg, text):
+    assert repr(msg) == text
+    fields = [f.split("=")[0] for f in text[text.index("(") + 1:-1].split(", ")]
+    assert tuple(getattr(msg, f) for f in fields) == tuple(msg)
+    assert type(msg)(*msg) == msg
+
+
+def test_a_route_token_is_optional_on_data_and_nacks():
+    assert DataPacket(N) == DataPacket(N, None) and DataPacket(N).dart is None
+    assert Nack(N, NackCode.NO_ROUTE) == Nack(N, NackCode.NO_ROUTE, None)
+    assert Nack(N, NackCode.NO_ROUTE).dart is None
+
+
+@pytest.mark.parametrize("msg, text", MESSAGES)
+def test_messages_are_immutable(msg, text):
+    with pytest.raises(AttributeError):
+        msg.name = Name.parse("/x")
+    with pytest.raises(AttributeError):
+        msg.dart = 1
+    with pytest.raises(AttributeError):
+        msg.other = 1
+    assert repr(msg) == text
+
+
+@pytest.mark.parametrize("msg, text", MESSAGES)
+def test_message_equality_is_type_strict(msg, text):
+    twin = type(msg)(*msg)
+    assert twin == msg and not twin != msg and hash(twin) == hash(msg)
+    assert len({msg, twin}) == 1
+    for other_type in {Interest, DataPacket, Nack, NdnInterest} - {type(msg)}:
+        # the same fields under another message type
+        other = tuple.__new__(other_type, msg)
+        assert other != msg and not other == msg
+        assert msg != other and not msg == other
+    assert msg != tuple(msg) and tuple(msg) != msg
+    assert DataPacket(N, 5) != NdnInterest(N, 5) and not DataPacket(N, 5) == NdnInterest(N, 5)
+    assert DataPacket(N, 5) != DataPacket(N, 6)
+
+
+@pytest.mark.parametrize("msg, text", MESSAGES)
+def test_messages_pickle_through_their_constructor(msg, text):
+    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(msg, protocol))
+        assert type(back) is type(msg) and back == msg and tuple(back) == tuple(msg)
+        assert repr(back) == text
 
 
 def test_caching_mode_values():

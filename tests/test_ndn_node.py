@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from dartlab.model import (
     CachingMode,
     DataPacket,
@@ -9,7 +11,7 @@ from dartlab.model import (
     NdnInterest,
     Prefix,
 )
-from dartlab.ndn_node import NdnRouter
+from dartlab.ndn_node import NdnRouter, PitEntry
 from dartlab.routing import Topology, compute_fibs
 
 P = Prefix.parse("/p")
@@ -36,7 +38,7 @@ def test_interest_creates_pit_and_forwards_best_hop():
     assert out == [("c", NdnInterest(OBJ, 111))]  # nonce travels unchanged
     assert out[0].message is interest  # forwarded as received, not rebuilt
     e = b.pit[OBJ]
-    assert e.in_records == ["a"] and b.seen_nonces == {111}
+    assert e.in_records == ("a",) and list(b.seen_nonces) == [111]
     assert e.expiry == 4_000.0 and b.table_sizes() == (1,)
 
 
@@ -55,8 +57,36 @@ def test_interest_aggregates_and_does_not_extend_expiry():
     out = b.on_interest("x", NdnInterest(OBJ, 222), now=1_000.0)
     assert out == [] and b.aggregated == 1
     e = b.pit[OBJ]
-    assert e.in_records == ["a", "x"] and b.seen_nonces == {111, 222}
+    assert e.in_records == ("a", "x") and list(b.seen_nonces) == [111, 222]
     assert e.expiry == 4_000.0  # still anchored to creation time
+
+
+def test_aggregation_replaces_the_pit_entry_with_one_more_face():
+    _, fibs = line_fibs()
+    b = make("b", fibs)
+    b.on_interest("a", NdnInterest(OBJ, 1), now=0.0)
+    first = b.pit[OBJ]
+    assert type(first) is PitEntry and first == (4_000.0, "a")
+    for nonce, face in [(2, "x"), (3, "a"), (4, "y")]:
+        b.on_interest(face, NdnInterest(OBJ, nonce), now=nonce * 500.0)
+    e = b.pit[OBJ]
+    assert type(e) is PitEntry and e == (4_000.0, "a", "x", "a", "y")
+    assert e.expiry == 4_000.0 and e.in_records == ("a", "x", "a", "y")
+    assert first == (4_000.0, "a") and first.in_records == ("a",)  # never mutated
+    with pytest.raises(AttributeError):
+        e.expiry = 9_000.0
+    assert list(b.seen_nonces) == [1, 2, 3, 4] and b.aggregated == 3
+
+
+def test_nonce_table_keeps_arrival_order_and_ignores_refused_nonces():
+    _, fibs = line_fibs()
+    b = make("b", fibs)
+    nonces = [2**64 - 1, 7, 2**40, 3]
+    for i, nonce in enumerate(nonces):
+        b.on_interest("a", NdnInterest(Name.parse(f"/p/{i}"), nonce), 0.0)
+    b.on_interest("x", NdnInterest(OBJ, 7), 1.0)  # a duplicate: refused
+    assert list(b.seen_nonces) == nonces and len(b.seen_nonces) == 4
+    assert 7 in b.seen_nonces and 8 not in b.seen_nonces and b.loop_nacks == 1
 
 
 def test_duplicate_nonce_is_refused_as_loop():
@@ -98,7 +128,7 @@ def test_data_pops_pit_and_fans_out_in_arrival_order():
     b.on_interest("x", NdnInterest(OBJ, 1), 0.0)
     b.on_interest("a", NdnInterest(OBJ, 2), 1.0)
     b.on_interest("x", NdnInterest(OBJ, 3), 2.0)
-    assert b.pit[OBJ].in_records == ["x", "a", "x"] and b.aggregated == 2
+    assert b.pit[OBJ].in_records == ("x", "a", "x") and b.aggregated == 2
     out = b.on_data("c", DataPacket(OBJ), 2.0)
     assert out == [("x", DataPacket(OBJ)), ("a", DataPacket(OBJ)), ("x", DataPacket(OBJ))]
     assert b.table_sizes() == (0,)
