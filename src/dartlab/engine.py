@@ -49,9 +49,10 @@ class Scheme(Enum):
     NDN = "ndn"
 
 
-# A sample or sweep period may fire at most this many times in a run: a
-# shorter one hangs the run once now + period == now, and long before that
-# takes more time than any run here should.
+# A sample or sweep period may fire at most this many times in a run, and a
+# consumer's stream may expect at most this many requests: a shorter period
+# or gap hangs the run once now + period == now, and long before that takes
+# more time than any run here should.
 MAX_TIMER_FIRINGS = 10_000_000
 
 # event kinds, cheapest-to-compare first in rough frequency order
@@ -102,6 +103,8 @@ class WorkloadSpec:
             raise ValueError("catalog_size must be >= 1")
         if not (0 < self.per_router_rate < math.inf and 0 < self.duration < math.inf):
             raise ValueError("rate and duration must be > 0 and finite")
+        if self.per_router_rate * self.duration > MAX_TIMER_FIRINGS:
+            raise ValueError(f"rate * duration must be <= {MAX_TIMER_FIRINGS}")
 
 
 @lru_cache(maxsize=1, typed=True)

@@ -73,7 +73,7 @@ class ExperimentConfig:
                 raise ConfigError(f"{key} must be {rule}, got {getattr(self, key)}")
 
         need(self.nodes >= 1, "nodes", ">= 1")
-        need(self.producers >= 0, "producers", ">= 0")
+        need(0 <= self.producers <= self.nodes, "producers", ">= 0 and <= nodes")
         for key in ("dart_ttl_s", "pit_lifetime_s", "sample_interval_ms", "sweep_interval_s"):
             need(getattr(self, key) > 0, key, "> 0")
         # an infinite duration or rate never runs out of requests, over an
@@ -83,6 +83,9 @@ class ExperimentConfig:
         need(0 < self.retry_timeout_s < math.inf, "retry_timeout_s", "> 0 and finite")
         need(0 < self.link_delay_ms < math.inf, "link_delay_ms", "> 0 and finite")
         need(all(0 < r < math.inf for r in self.rates), "rates", "> 0 and finite")
+        # the engine's cap on a stream's requests: a larger one never ends
+        need(all(r * self.duration_s <= MAX_TIMER_FIRINGS for r in self.rates), "rates",
+             f"<= {MAX_TIMER_FIRINGS} / duration_s")
         need(self.catalog >= 1, "catalog", ">= 1")
         need(self.max_tries >= 1, "max_tries", ">= 1")
         need(math.isfinite(self.zipf_alpha) and self.zipf_alpha >= 0, "zipf_alpha",
@@ -156,11 +159,8 @@ def parse_config(text: str) -> ExperimentConfig:
 def build_topology(cfg: ExperimentConfig) -> Topology:
     topo = generate_topology(cfg.nodes, cfg.area, cfg.radius, cfg.link_delay_ms,
                              seed=cfg.topology_seed)
-    count = cfg.producers or cfg.nodes
-    if count > cfg.nodes:
-        raise ConfigError(f"producers={count} exceeds nodes={cfg.nodes}")
     rng = random.Random(f"producers:{cfg.topology_seed}")
-    chosen = sorted(rng.sample(sorted(topo.routers), count))
+    chosen = sorted(rng.sample(sorted(topo.routers), cfg.producers or cfg.nodes))
     anchors = {Prefix((f"p{i:02d}",)): (r,) for i, r in enumerate(chosen)}
     return topo.with_anchors(anchors)
 
@@ -200,17 +200,11 @@ def write_rows(path: Path, rows) -> None:
     os.replace(tmp, path)
 
 
-# The config fields a cell's static world is built from, and nothing else.
-WORLD_FIELDS = ("nodes", "area", "radius", "link_delay_ms", "topology_seed",
-                "producers", "catalog")
-
-
-@lru_cache(maxsize=1, typed=True)
-def build_world(*values) -> World:
-    """The world of the configs whose ``WORLD_FIELDS`` hold ``values``.
-    Memoised on them, one world at a time: a process builds it for its
-    first cell, and every later cell with the same fields reuses it."""
-    cfg = ExperimentConfig(**dict(zip(WORLD_FIELDS, values)))
+@lru_cache(maxsize=1)
+def build_world(cfg: ExperimentConfig) -> World:
+    """The config's static world: topology, FIBs and catalog.  Memoised on
+    the config, one world at a time: a process builds it for its first
+    cell, and every later cell of an equal config reuses it."""
     topo = build_topology(cfg)
     return World.build(topo, compute_fibs(topo), build_catalog(cfg, topo))
 
@@ -219,7 +213,7 @@ def simulate_cell(cfg: ExperimentConfig, scheme: str, caching: str, rate: float,
                   seed: int, trace_path: Optional[str] = None) -> MetricsReport:
     """Simulate one cell of the config's grid in the config's world; the
     one place a config's fields become engine arguments."""
-    world = build_world(*(getattr(cfg, key) for key in WORLD_FIELDS))
+    world = build_world(cfg)
     wl = WorkloadSpec(cfg.zipf_alpha, cfg.catalog, rate, cfg.duration_s, seed)
     return simulate(world, scheme, caching, wl, cfg.audit, trace_path=trace_path,
                     dart_ttl_ms=cfg.dart_ttl_s * 1000.0,
@@ -239,10 +233,6 @@ def run_cell(cfg: ExperimentConfig, scheme: str, caching: str, rate: float,
     return name
 
 
-def _cell_task(args):
-    return run_cell(*args)
-
-
 def run_experiment(cfg: ExperimentConfig, out_dir, config_text: str = "",
                    trace_template: Optional[str] = None) -> List[str]:
     """Run every cell in the config's cross-product; returns CSV names."""
@@ -256,7 +246,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, config_text: str = "",
         # imported here: a one-worker run never loads the pool's machinery
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            names = list(pool.map(_cell_task, tasks))
+            names = list(pool.map(run_cell, *zip(*tasks)))
     else:
         names = [run_cell(*t) for t in tasks]
 

@@ -34,7 +34,6 @@ class Topology:
     routers: Tuple[str, ...]
     links: Dict[Tuple[str, str], float]
     anchors: Dict[Prefix, Tuple[str, ...]] = field(default_factory=dict)
-    positions: Dict[str, Tuple[float, float]] = field(default_factory=dict)
     neighbors: Dict[str, Tuple[str, ...]] = field(init=False)
 
     def __post_init__(self):
@@ -80,16 +79,20 @@ class Topology:
         return self.links[(u, v) if u < v else (v, u)]
 
     def with_anchors(self, anchors: Dict[Prefix, Tuple[str, ...]]) -> "Topology":
-        return Topology(self.routers, dict(self.links), dict(anchors), dict(self.positions))
+        return Topology(self.routers, dict(self.links), dict(anchors))
+
+
+# draws of a geometric graph before generate_topology gives up
+MAX_ATTEMPTS = 200
 
 
 def generate_topology(node_count: int, area_side: float, link_radius: float,
-                      link_delay_ms: float, seed, max_attempts: int = 200) -> Topology:
+                      link_delay_ms: float, seed) -> Topology:
     """Random geometric graph: scatter nodes in a square, link pairs within
     radius, resample until connected."""
     width = max(2, len(str(node_count - 1)))
     ids = [f"n{i:0{width}d}" for i in range(node_count)]
-    for attempt in range(max_attempts):
+    for attempt in range(MAX_ATTEMPTS):
         rng = random.Random(f"topology:{seed}:{attempt}")
         pos = {r: (rng.uniform(0, area_side), rng.uniform(0, area_side)) for r in ids}
         links = {}
@@ -100,11 +103,11 @@ def generate_topology(node_count: int, area_side: float, link_radius: float,
                 if math.dist((ux, uy), (vx, vy)) <= link_radius:
                     links[(u, v)] = link_delay_ms
         try:
-            return Topology(tuple(ids), links, {}, pos)
+            return Topology(tuple(ids), links)
         except TopologyError:
             continue
     raise TopologyError(
-        f"no connected geometric graph in {max_attempts} attempts "
+        f"no connected geometric graph in {MAX_ATTEMPTS} attempts "
         f"(n={node_count}, area={area_side}, radius={link_radius})")
 
 
@@ -113,11 +116,10 @@ class FibTuple:
     next_hop: str
     distance: int  # hops to the nearest anchor when leaving via next_hop
     anchor: str
-    rank: int      # 1 = most preferred
 
 
 class Fib:
-    """Per-router forwarding table: prefix -> ranked FibTuples.
+    """Per-router forwarding table: prefix -> FibTuples, most preferred first.
 
     Lookup is longest-prefix match, probing component counts from longest to
     shortest against a dict per length.
@@ -180,9 +182,7 @@ def compute_fibs(topology: Topology,
             if not reachable:
                 continue
             reachable.sort()
-            fibs[r][prefix] = tuple(
-                FibTuple(v, dist, anchor, rank)
-                for rank, (dist, v, anchor) in enumerate(reachable, start=1))
+            fibs[r][prefix] = tuple(FibTuple(v, dist, anchor) for dist, v, anchor in reachable)
     return {r: Fib(table) for r, table in fibs.items()}
 
 
@@ -202,10 +202,7 @@ def override_rankings(fibs: Dict[str, Fib], router: str, prefix: Prefix,
     current = {t.next_hop: t for t in fibs[router].entries[prefix]}
     if set(order) != set(current) or len(order) != len(current):
         raise ValueError(f"order must be a permutation of {sorted(current)}")
-    tuples = tuple(
-        FibTuple(nh, current[nh].distance, current[nh].anchor, rank)
-        for rank, nh in enumerate(order, start=1))
-    return _replace(fibs, router, prefix, tuples)
+    return _replace(fibs, router, prefix, tuple(current[nh] for nh in order))
 
 
 def inject_stale_distances(fibs: Dict[str, Fib],
@@ -213,18 +210,16 @@ def inject_stale_distances(fibs: Dict[str, Fib],
                            ) -> Dict[str, Fib]:
     """Pure: new FIB set where the edited tuples advertise different
     distances, as if some routers had not yet processed a routing update.
-    Each edit is (router, prefix, next_hop, new_distance).  Rank order is
-    deliberately NOT recomputed — a router acting on stale advertisements
-    has no reason to have re-sorted them yet."""
+    Each edit is (router, prefix, next_hop, new_distance).  The tuples are
+    deliberately NOT re-sorted — a router acting on stale advertisements
+    has no reason to have re-ranked them yet."""
     out = fibs
     for router, prefix, next_hop, distance in edits:
         current = out[router].entries.get(prefix, ())
         if not any(t.next_hop == next_hop for t in current):
             raise ValueError(f"{router} has no tuple via {next_hop} for {prefix}")
-        tuples = tuple(
-            FibTuple(t.next_hop, distance if t.next_hop == next_hop else t.distance,
-                     t.anchor, t.rank)
-            for t in current)
+        tuples = tuple(FibTuple(next_hop, distance, t.anchor) if t.next_hop == next_hop else t
+                       for t in current)
         out = _replace(out, router, prefix, tuples)
     return out
 
@@ -234,6 +229,6 @@ def dump_fibs(fibs: Dict[str, Fib]) -> List[str]:
     for router in sorted(fibs):
         entries = fibs[router].entries
         for prefix in sorted(entries):
-            for t in entries[prefix]:
-                lines.append(f"fib {router} {prefix} {t.rank} {t.next_hop} {t.distance} {t.anchor}")
+            for rank, t in enumerate(entries[prefix], start=1):
+                lines.append(f"fib {router} {prefix} {rank} {t.next_hop} {t.distance} {t.anchor}")
     return lines

@@ -132,6 +132,18 @@ def test_tiny_timer_interval_exits_1_instead_of_hanging(tmp_path, line, rule):
     assert err.splitlines() == [f"config error: {rule}, got 1e-20"]
 
 
+@pytest.mark.parametrize("line,rule", [
+    ("rates = 1e300", "rates must be <= 10000000 / duration_s, got (1e+300,)"),
+    ("producers = 3", "producers must be >= 0 and <= nodes, got 3"),
+])
+def test_a_config_the_grid_cannot_run_exits_1_before_writing(tmp_path, line, rule):
+    # a rate of 1e300 never ended its stream, and more producers than
+    # routers failed only once the first cell was built, in a made directory
+    err = _run_cli(tmp_path, line)
+    assert err.splitlines() == [f"config error: {rule}"]
+    assert not (tmp_path / "r").exists()
+
+
 def test_importing_the_cli_loads_no_process_pool():
     # a one-worker run never starts a pool, so it should not pay for its import
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))

@@ -144,6 +144,12 @@ def test_workload_spec_validation():
                                   (0.7, 1.0, math.inf), (0.7, 1.0, math.nan)):
         with pytest.raises(ValueError):
             WorkloadSpec(alpha, 10, rate, duration)
+    # a stream expecting more requests than a timer may fire never ends:
+    # at rate 1e300 each request moved the clock by about 1e-297 ms
+    WorkloadSpec(0.7, 10, MAX_TIMER_FIRINGS / 2, 2.0)
+    for rate, duration in ((1e300, 2.0), (MAX_TIMER_FIRINGS + 1, 1.0)):
+        with pytest.raises(ValueError, match="rate \\* duration must be <= 10000000"):
+            WorkloadSpec(0.7, 10, rate, duration)
 
 
 @pytest.mark.parametrize("scheme", ["dart", "ndn"])
@@ -682,7 +688,7 @@ def _mixed_delay_topology(cfg):
     topo = build_topology(cfg)
     links = {k: 65.0 if i % 3 == 0 else cfg.link_delay_ms
              for i, k in enumerate(sorted(topo.links))}
-    return Topology(topo.routers, links, topo.anchors, topo.positions)
+    return Topology(topo.routers, links, topo.anchors)
 
 
 @pytest.mark.parametrize("caching", ["edge", "onpath", "none"])

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from dartlab import experiment
 from dartlab.engine import WorkloadSpec, generate_workload, run
 from dartlab.experiment import (
-    WORLD_FIELDS,
     ConfigError,
     ExperimentConfig,
     build_catalog,
@@ -62,6 +61,10 @@ def test_parse_config_defaults_and_overrides():
     assert parse_config("").nodes == 50  # all defaults
     # the first sample may land exactly on the end of the run
     assert parse_config("duration_s = 2\nsample_interval_ms = 1800").sample_interval_ms == 1800
+    # a stream may expect as many requests as a timer may fire, and every
+    # router may anchor a prefix
+    assert parse_config("duration_s = 2\nrates = 5000000").rates == (5e6,)
+    assert parse_config("nodes = 4\nproducers = 4").producers == 4
 
 
 @pytest.mark.parametrize("bad,frag", [
@@ -82,6 +85,9 @@ def test_parse_config_defaults_and_overrides():
     ("rates = 10, -1", "rates must be > 0"),
     ("rates = nan", "rates must be > 0"),
     ("rates = inf", "rates must be > 0 and finite"),
+    ("rates = 1e300", r"rates must be <= 10000000 / duration_s, got \(1e\+300,\)"),
+    ("duration_s = 2\nrates = 10, 5000001", "rates must be <= 10000000 / duration_s"),
+    ("nodes = 3\nproducers = 4", "producers must be >= 0 and <= nodes, got 4"),
     ("duration_s = inf", "duration_s must be > 0 and finite"),
     ("dart_ttl_s = -1", "dart_ttl_s must be > 0"),
     ("pit_lifetime_s = 0", "pit_lifetime_s must be > 0"),
@@ -285,14 +291,13 @@ duration_s = 2
 retry_timeout_s = 5
 """
 
-# one changed value per world field, and one for the Zipf table's memo;
-# each changes the cell's CSV
+# one changed value per field the world's builders read, and one for the
+# Zipf table's memo; each changes the cell's CSV
 WORLD_CHANGES = {"nodes": 9, "area": 32.0, "radius": 15.0, "link_delay_ms": 7.0,
                  "topology_seed": 4, "producers": 3, "catalog": 50, "zipf_alpha": 0.9}
 
 
 def test_a_cell_after_a_cell_of_another_world_equals_a_cold_cell(tmp_path, fresh_world):
-    assert set(WORLD_CHANGES) == set(WORLD_FIELDS) | {"zipf_alpha"}
     base = parse_config(WORLD)
     cell = ("dart", "edge", 20.0, 1)
     name = run_cell(base, *cell, tmp_path)
@@ -311,33 +316,47 @@ def test_a_cell_after_a_cell_of_another_world_equals_a_cold_cell(tmp_path, fresh
         assert got != base_csv, key
 
 
+def test_equal_configs_share_one_world(fresh_world):
+    # built apart, as the benchmark's two hot cells and a pool worker's
+    # unpickled copy are: an equal config reuses the world, so a warm cell
+    # never pays for a rebuild
+    a = replace(ExperimentConfig(), duration_s=5.0)
+    b = replace(ExperimentConfig(), duration_s=5.0)
+    assert a is not b
+    world = fresh_world(a)
+    assert fresh_world(b) is world
+    assert fresh_world(pickle.loads(pickle.dumps(a))) is world
+    assert fresh_world(replace(a, duration_s=6.0)) is not world
+
+
 def test_cells_leave_the_shared_world_as_it_was_built(fresh_world):
     cfg = parse_config(WORLD)
-    key = tuple(getattr(cfg, k) for k in WORLD_FIELDS)
-    world = fresh_world(*key)
-    for scheme, caching, capacity in (("dart", "edge", 0), ("dart", "onpath", 5),
-                                      ("ndn", "onpath", 0), ("ndn", "edge", 0)):
-        rep = simulate_cell(replace(cfg, store_capacity=capacity), scheme, caching, 20.0, 1)
-        assert rep.delivered > 0
-        assert (rep.store_evictions > 0) == (capacity > 0)
-    assert fresh_world(*key) is world
-    fresh_world.cache_clear()
-    fresh = fresh_world(*key)
-    assert fresh is not world
-    assert world.topology.links == fresh.topology.links
-    assert world.topology.anchors == fresh.topology.anchors
-    assert ({r: fib.entries for r, fib in world.fibs.items()}
-            == {r: fib.entries for r, fib in fresh.fibs.items()})
-    assert world.catalog == fresh.catalog
-    assert ({a: dict(held) for a, held in world.owned.items()}
-            == {a: dict(held) for a, held in fresh.owned.items()})
-    assert world.anchored == fresh.anchored
-    assert world.delays == fresh.delays
-    assert world.shared_delay == fresh.shared_delay
-    # every anchor's store holds its packets through a read-only mapping
-    held = next(iter(world.owned.values()))
-    with pytest.raises(TypeError):
-        held[Name.parse("/x")] = None
+    for capacity, cells in ((0, (("dart", "edge"), ("ndn", "onpath"), ("ndn", "edge"))),
+                            (5, (("dart", "onpath"),))):
+        cap_cfg = replace(cfg, store_capacity=capacity)
+        world = fresh_world(cap_cfg)
+        for scheme, caching in cells:
+            rep = simulate_cell(cap_cfg, scheme, caching, 20.0, 1)
+            assert rep.delivered > 0
+            assert (rep.store_evictions > 0) == (capacity > 0)
+        assert fresh_world(cap_cfg) is world
+        fresh_world.cache_clear()
+        fresh = fresh_world(cap_cfg)
+        assert fresh is not world
+        assert world.topology.links == fresh.topology.links
+        assert world.topology.anchors == fresh.topology.anchors
+        assert ({r: fib.entries for r, fib in world.fibs.items()}
+                == {r: fib.entries for r, fib in fresh.fibs.items()})
+        assert world.catalog == fresh.catalog
+        assert ({a: dict(held) for a, held in world.owned.items()}
+                == {a: dict(held) for a, held in fresh.owned.items()})
+        assert world.anchored == fresh.anchored
+        assert world.delays == fresh.delays
+        assert world.shared_delay == fresh.shared_delay
+        # every anchor's store holds its packets through a read-only mapping
+        held = next(iter(world.owned.values()))
+        with pytest.raises(TypeError):
+            held[Name.parse("/x")] = None
 
 
 @pytest.mark.parametrize("scheme, caching", [("dart", "edge"), ("ndn", "onpath")])

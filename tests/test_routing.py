@@ -6,6 +6,7 @@ import pytest
 
 from dartlab.model import Name, Prefix
 from dartlab.routing import (
+    MAX_ATTEMPTS,
     Fib,
     FibTuple,
     Topology,
@@ -28,25 +29,38 @@ def to_nx(topo):
 def test_generate_topology_radius_and_connectivity():
     topo = generate_topology(30, 100.0, 35.0, 10.0, seed=7)
     assert nx.is_connected(to_nx(topo))
+    assert set(topo.links.values()) == {10.0}
     ids = list(topo.routers)
-    for i, u in enumerate(ids):
-        for v in ids[i + 1:]:
-            within = math.dist(topo.positions[u], topo.positions[v]) <= 35.0
-            assert ((u, v) in topo.links) == within
+    pairs = [(u, v) for i, u in enumerate(ids) for v in ids[i + 1:]]
+    # redraw the generator's scatters: it keeps the first whose pairs within
+    # the radius connect every router
+    for attempt in range(MAX_ATTEMPTS):
+        rng = random.Random(f"topology:7:{attempt}")
+        pos = {r: (rng.uniform(0, 100.0), rng.uniform(0, 100.0)) for r in ids}
+        g = nx.Graph()
+        g.add_nodes_from(ids)
+        g.add_edges_from((u, v) for u, v in pairs if math.dist(pos[u], pos[v]) <= 35.0)
+        if nx.is_connected(g):
+            break
+    else:
+        pytest.fail("no connected scatter")
+    for u, v in pairs:
+        within = math.dist(pos[u], pos[v]) <= 35.0
+        assert ((u, v) in topo.links) == within
 
 
 def test_generate_topology_deterministic():
     a = generate_topology(20, 50.0, 20.0, 5.0, seed="x")
     b = generate_topology(20, 50.0, 20.0, 5.0, seed="x")
     c = generate_topology(20, 50.0, 20.0, 5.0, seed="y")
-    assert a.positions == b.positions and a.links == b.links
-    assert a.positions != c.positions
+    assert a.routers == b.routers and a.links == b.links
+    assert a.links != c.links
 
 
 def test_generate_topology_gives_up():
     # radius 0 can never connect two nodes
     with pytest.raises(TopologyError):
-        generate_topology(5, 100.0, 0.0, 1.0, seed=1, max_attempts=3)
+        generate_topology(5, 100.0, 0.0, 1.0, seed=1)
 
 
 def test_topology_validation():
@@ -88,10 +102,9 @@ def test_fib_distances_match_networkx(seed):
                 d, a = nearest_anchor(g, t.next_hop, anchor_set)
                 assert t.distance == d + 1
                 assert t.anchor == a
-            # ranked by (distance, neighbour id), ranks consecutive from 1
+            # most preferred first: in order of (distance, neighbour id)
             keys = [(t.distance, t.next_hop) for t in tuples]
             assert keys == sorted(keys)
-            assert [t.rank for t in tuples] == list(range(1, len(tuples) + 1))
 
 
 def test_fib_anchor_tie_breaks_to_lowest_id():
@@ -100,8 +113,8 @@ def test_fib_anchor_tie_breaks_to_lowest_id():
                     {Prefix.parse("/p"): ("a", "c")})
     fib = compute_fibs(topo)["b"]
     (t1, t2) = fib.entries[Prefix.parse("/p")]
-    assert (t1.next_hop, t1.distance, t1.anchor, t1.rank) == ("a", 1, "a", 1)
-    assert (t2.next_hop, t2.distance, t2.anchor, t2.rank) == ("c", 1, "c", 2)
+    assert (t1.next_hop, t1.distance, t1.anchor) == ("a", 1, "a")
+    assert (t2.next_hop, t2.distance, t2.anchor) == ("c", 1, "c")
 
 
 def test_exclude_links_matches_reduced_graph_and_drops_unreachable():
@@ -128,7 +141,7 @@ def test_lpm_against_bruteforce():
     prefixes = [Prefix(()), Prefix(("a",)), Prefix(("a", "b")),
                 Prefix(("a", "b", "c")), Prefix(("b",))]
     # a distinct tuple per prefix, so the tuples returned name the match
-    entries = {p: (FibTuple(str(p), 1, "x", 1),) for p in prefixes}
+    entries = {p: (FibTuple(str(p), 1, "x"),) for p in prefixes}
     fib = Fib(entries)
     for _ in range(200):
         name = Name([rng.choice(comps) for _ in range(rng.randint(1, 4))])
@@ -154,7 +167,7 @@ def test_override_rankings_is_pure_and_validated():
     assert [t.next_hop for t in before] == ["c", "a"]
     out = override_rankings(fibs, "b", p, ["a", "c"])
     assert [t.next_hop for t in out["b"].entries[p]] == ["a", "c"]
-    assert [t.rank for t in out["b"].entries[p]] == [1, 2]
+    assert out["b"].entries[p] == before[::-1]
     assert {t.next_hop: t.distance for t in out["b"].entries[p]} == {"a": 4, "c": 2}
     assert fibs["b"].entries[p] == before  # original untouched
     with pytest.raises(ValueError):
@@ -167,7 +180,7 @@ def test_inject_stale_distances_keeps_rank_order():
     topo, p, fibs = line_fixture()
     out = inject_stale_distances(fibs, [("b", p, "c", 9)])
     got = out["b"].entries[p]
-    assert [(t.next_hop, t.distance, t.rank) for t in got] == [("c", 9, 1), ("a", 4, 2)]
+    assert [(t.next_hop, t.distance) for t in got] == [("c", 9), ("a", 4)]
     assert [t.distance for t in fibs["b"].entries[p]] == [2, 4]
     assert inject_stale_distances(fibs, []) == fibs
     with pytest.raises(ValueError):
@@ -177,5 +190,8 @@ def test_inject_stale_distances_keeps_rank_order():
 def test_dump_fibs_format():
     _, p, fibs = line_fixture()
     lines = dump_fibs(fibs)
-    assert "fib b /p 1 c 2 d" in lines
+    assert "fib b /p 1 c 2 d" in lines and "fib b /p 2 a 4 d" in lines
+    # the rank printed is the tuple's position in its entry
+    reordered = dump_fibs(override_rankings(fibs, "b", p, ["a", "c"]))
+    assert "fib b /p 1 a 4 d" in reordered and "fib b /p 2 c 2 d" in reordered
     assert lines == sorted(lines, key=lambda l: (l.split()[1], l.split()[2], int(l.split()[3])))
