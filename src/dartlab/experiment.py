@@ -73,6 +73,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{key} must be {rule}, got {getattr(self, key)}")
 
         need(self.nodes >= 1, "nodes", ">= 1")
+        need(0 < self.area < math.inf, "area", "> 0 and finite")
+        need(0 <= self.radius < math.inf, "radius", ">= 0 and finite")
         need(0 <= self.producers <= self.nodes, "producers", ">= 0 and <= nodes")
         for key in ("dart_ttl_s", "pit_lifetime_s", "sample_interval_ms", "sweep_interval_s"):
             need(getattr(self, key) > 0, key, "> 0")
@@ -236,16 +238,20 @@ def run_cell(cfg: ExperimentConfig, scheme: str, caching: str, rate: float,
 def run_experiment(cfg: ExperimentConfig, out_dir, config_text: str = "",
                    trace_template: Optional[str] = None) -> List[str]:
     """Run every cell in the config's cross-product; returns CSV names."""
+    # cells get workers = 1: the pool size shapes no output, nor the world's memo key
+    cell_cfg = replace(cfg, workers=1)
+    build_world(cell_cfg)  # first: a world that fails writes nothing; forked workers inherit it
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     tasks = []
     for cell in cfg.cells():
         trace = f"{trace_template}.{cell_stem(*cell)}" if trace_template else None
-        tasks.append((cfg, *cell, str(out), trace))
+        tasks.append((cell_cfg, *cell, str(out), trace))
     if cfg.workers > 1:
         # imported here: a one-worker run never loads the pool's machinery
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        # fork starts every worker up front: no more of them than cells
+        with ProcessPoolExecutor(max_workers=min(cfg.workers, len(tasks))) as pool:
             names = list(pool.map(run_cell, *zip(*tasks)))
     else:
         names = [run_cell(*t) for t in tasks]

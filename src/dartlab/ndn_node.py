@@ -2,20 +2,22 @@
 
 Classic stateful forwarding.  Every distinct name being fetched holds a PIT
 entry at every router on its path; entries either pop when data returns or
-sit until their lifetime runs out.  An entry is a tuple record of its expiry
-and its in-records: the faces its Interests arrived on, in arrival order,
-one per Interest (a consumer's retry adds its face again).  Loops are caught
-(probabilistically) by nonce matching against every nonce the router has
-seen, kept as the keys of a dict in arrival order.  This baseline keeps the
-historical behaviour of treating a refusal as silence: routers drop nacks
-rather than propagate them, so a consumer behind a refused interest simply
-waits for its timeout.
+sit until their lifetime runs out.  An entry is a tuple ``(expiry, face,
+face, ...)``: its in-records are the faces its Interests arrived on, in
+arrival order, one per Interest (a consumer's retry adds its face again).
+The PIT's dict order is its expiry order, so ``expire_pit`` stops at the
+first live entry: each entry expires ``pit_lifetime_ms`` after a ``now``
+that never decreases, aggregation keeps an entry's key, place and expiry,
+and Data pops any entry.  Loops are caught (probabilistically) by nonce
+matching against every nonce the router has seen, kept as the keys of a
+dict in arrival order.  This baseline keeps the historical behaviour of
+treating a refusal as silence: routers drop nacks rather than propagate
+them, so a consumer behind a refused interest simply waits for its timeout.
 """
 
 from __future__ import annotations
 
 import random
-from operator import itemgetter
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .model import (
@@ -35,23 +37,10 @@ from .routing import Fib
 ON_PATH, EDGE = CachingMode.ON_PATH, CachingMode.EDGE
 
 
-class PitEntry(tuple):
-    """``PitEntry((expiry, face, face, ...))``: a tuple built in C, as
-    ``Emission`` is.  The faces are the in-records, in arrival order, so
-    data fan-out is deterministic; aggregation replaces the entry with one
-    that has one more face.  Their nonces are not kept: each passed
-    ``seen_nonces`` on the way in, so none repeats, and nothing reads them."""
-
-    __slots__ = ()
-
-    expiry = property(itemgetter(0))
-    in_records = property(itemgetter(slice(1, None)))
-
-
 class NdnRouter:
     # counters under the names of the MetricsReport totals they add up to
     TOTALS = ("aggregated", "loop_nacks", "orphan_data", "pit_expired", "nacks_dropped")
-    TABLES = ("pit",)  # what table_sizes() reports, in its order
+    TABLES = ("pit", "nonces")  # what table_sizes() reports, in its order
 
     def __init__(self, router_id: str, fib: Fib,
                  anchored: Tuple[Prefix, ...] = (),
@@ -66,7 +55,7 @@ class NdnRouter:
         self.caching_mode = caching_mode
         self.pit_lifetime_ms = pit_lifetime_ms
         self.store = ContentStore(store_capacity, anchored, owned)
-        self.pit: Dict[Name, PitEntry] = {}
+        self.pit: Dict[Name, tuple] = {}
         # consumers attached here: edge caching keeps Data that one of them asked for
         self.local_consumers = frozenset(local_consumers)
         # nonce -> None, in arrival order: a dict takes under a third of a
@@ -93,9 +82,9 @@ class NdnRouter:
     def sweep(self, now: float) -> int:
         return self.expire_pit(now)
 
-    def table_sizes(self) -> Tuple[int]:
-        """Sizes of TABLES: PIT entries."""
-        return (len(self.pit),)
+    def table_sizes(self) -> Tuple[int, int]:
+        """Sizes of TABLES: PIT entries, accepted nonces."""
+        return (len(self.pit), len(self.seen_nonces))
 
     def give_up(self, consumer: str, name: Name):
         """Nothing to forget: a PIT entry expires by its lifetime."""
@@ -115,7 +104,7 @@ class NdnRouter:
         self.seen_nonces[nonce] = None
         entry = self.pit.get(name)
         if entry is not None:
-            self.pit[name] = PitEntry((*entry, sender))
+            self.pit[name] = (*entry, sender)
             self.aggregated += 1
             return []
         # most routers anchor nothing and skip the test
@@ -130,7 +119,7 @@ class NdnRouter:
                     break
         if nxt is None:
             return [Emission((sender, Nack(name, NackCode.NO_ROUTE)))]
-        self.pit[name] = PitEntry((now + self.pit_lifetime_ms, sender))
+        self.pit[name] = (now + self.pit_lifetime_ms, sender)
         # the Interest is immutable and travels on as it came
         return [Emission((nxt.next_hop, interest))]
 
@@ -141,7 +130,7 @@ class NdnRouter:
             self.orphan_data += 1
             return None
         # Data carries no per-hop state here, so the packet itself travels on
-        faces = entry.in_records
+        faces = entry[1:]
         out = [Emission((iface, data)) for iface in faces]
         mode = self.caching_mode
         if mode is ON_PATH or (mode is EDGE and not self.local_consumers.isdisjoint(faces)):
@@ -155,7 +144,11 @@ class NdnRouter:
         return None
 
     def expire_pit(self, now: float) -> int:
-        dead = [n for n, e in self.pit.items() if e.expiry <= now]
+        dead = []
+        for n, e in self.pit.items():
+            if not e[0] <= now:  # written so that a NaN expiry never expires
+                break
+            dead.append(n)
         for n in dead:
             del self.pit[n]
         self.pit_expired += len(dead)

@@ -135,10 +135,12 @@ def test_tiny_timer_interval_exits_1_instead_of_hanging(tmp_path, line, rule):
 @pytest.mark.parametrize("line,rule", [
     ("rates = 1e300", "rates must be <= 10000000 / duration_s, got (1e+300,)"),
     ("producers = 3", "producers must be >= 0 and <= nodes, got 3"),
+    ("radius = 0", "no connected geometric graph in 200 attempts (n=2, area=10.0, radius=0.0)"),
 ])
 def test_a_config_the_grid_cannot_run_exits_1_before_writing(tmp_path, line, rule):
-    # a rate of 1e300 never ended its stream, and more producers than
-    # routers failed only once the first cell was built, in a made directory
+    # a rate of 1e300 never ended its stream, more producers than routers
+    # failed only once the first cell was built, in a made directory, and a
+    # geometry that never connects fails when the world is built, before it
     err = _run_cli(tmp_path, line)
     assert err.splitlines() == [f"config error: {rule}"]
     assert not (tmp_path / "r").exists()

@@ -201,12 +201,13 @@ def test_routers_that_anchor_nothing_skip_the_anchor_test(scheme, monkeypatch):
 def test_sample_table_sizes_idle_and_in_flight():
     topo, fibs = line_topology()
     ndn = {r: NdnRouter(r, fibs[r]) for r in topo.routers}
-    assert sample_table_sizes(ndn) == {"a": (0,), "b": (0,), "c": (0,), "d": (0,)}
-    # one request in flight over three hops -> three PITs of size 1
+    assert sample_table_sizes(ndn) == {r: (0, 0) for r in topo.routers}
+    # one request in flight over three hops -> three PITs of size 1, each
+    # router holding its nonce
     out = ndn["a"].on_interest("cons", NdnInterest(Name.parse("/p/0"), 1), 0.0)
     out = ndn["b"].on_interest("a", out[0].message, 1.0)
     ndn["c"].on_interest("b", out[0].message, 2.0)
-    assert sample_table_sizes(ndn) == {"a": (1,), "b": (1,), "c": (1,), "d": (0,)}
+    assert sample_table_sizes(ndn) == {"a": (1, 1), "b": (1, 1), "c": (1, 1), "d": (0, 0)}
 
     dart = {r: DartRouter(r, fibs[r]) for r in topo.routers}
     assert sample_table_sizes(dart) == {r: (0, 0) for r in topo.routers}
@@ -230,7 +231,9 @@ def test_sample_table_sizes_idle_and_in_flight():
         peaks[scheme] = rep.table_max
     assert peaks["dart"] == {"dart_legs": {"a": 1, "b": 1, "c": 0},
                              "rct": {"a": 2, "b": 0, "c": 0}}
-    assert peaks["ndn"] == {"pit": {"a": 2, "b": 2, "c": 0}}
+    # c answers from its store before it records a nonce
+    assert peaks["ndn"] == {"pit": {"a": 2, "b": 2, "c": 0},
+                            "nonces": {"a": 2, "b": 2, "c": 0}}
 
 
 # --- end-to-end basics ----------------------------------------------------------

@@ -77,6 +77,12 @@ def test_parse_config_defaults_and_overrides():
     ("sweep_interval_s = 0", "sweep_interval_s must be > 0"),
     ("sample_interval_ms = 0", "sample_interval_ms must be > 0"),
     ("nodes = 0", "nodes must be >= 1"),
+    ("area = 0", "area must be > 0 and finite, got 0.0"),
+    ("area = nan", "area must be > 0 and finite, got nan"),
+    ("area = inf", "area must be > 0 and finite"),
+    ("radius = -1", "radius must be >= 0 and finite, got -1.0"),
+    ("radius = nan", "radius must be >= 0 and finite"),
+    ("radius = inf", "radius must be >= 0 and finite"),
     ("producers = -1", "producers must be >= 0"),
     ("link_delay_ms = 0", "link_delay_ms must be > 0"),
     ("link_delay_ms = inf", "link_delay_ms must be > 0 and finite"),
@@ -218,6 +224,38 @@ def test_worker_pool_produces_identical_output(tmp_path):
     run_experiment(parse_config(TINY + "workers = 2\n"), pooled, config_text=TINY)
     for n in names:
         assert filecmp.cmp(serial / n, pooled / n, shallow=False), n
+
+
+def test_the_pool_is_never_larger_than_the_grid(tmp_path, monkeypatch, fresh_world):
+    # a forked pool starts every worker up front, so 64 workers on a 2-cell
+    # grid must ask for 2; the fake pool maps in this process
+    import concurrent.futures
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    serial, pooled = tmp_path / "serial", tmp_path / "pooled"
+    names = run_experiment(parse_config(TINY), serial, config_text=TINY)
+    run_experiment(parse_config(TINY + "workers = 64\n"), pooled, config_text=TINY)
+    assert asked == [len(names)] == [2]
+    for n in names:
+        assert filecmp.cmp(serial / n, pooled / n, shallow=False), n
+    # the pool size is not part of the world's key: both grids and a later
+    # one-worker cell share one world
+    fresh_world(parse_config(TINY))
+    assert fresh_world.cache_info().misses == 1
 
 
 def test_compare_summarises_and_flags_missing_cells(tmp_path):

@@ -1,6 +1,10 @@
+import copy
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dartlab.model import (
     CachingMode,
@@ -11,7 +15,7 @@ from dartlab.model import (
     NdnInterest,
     Prefix,
 )
-from dartlab.ndn_node import NdnRouter, PitEntry
+from dartlab.ndn_node import NdnRouter
 from dartlab.routing import Topology, compute_fibs
 
 P = Prefix.parse("/p")
@@ -37,9 +41,8 @@ def test_interest_creates_pit_and_forwards_best_hop():
     out = b.on_interest("a", interest, now=0.0)
     assert out == [("c", NdnInterest(OBJ, 111))]  # nonce travels unchanged
     assert out[0].message is interest  # forwarded as received, not rebuilt
-    e = b.pit[OBJ]
-    assert e.in_records == ("a",) and list(b.seen_nonces) == [111]
-    assert e.expiry == 4_000.0 and b.table_sizes() == (1,)
+    assert b.pit[OBJ] == (4_000.0, "a") and list(b.seen_nonces) == [111]
+    assert b.table_sizes() == (1, 1)
 
 
 def test_consumer_ask_carries_a_nonce_from_the_routers_own_generator():
@@ -56,9 +59,8 @@ def test_interest_aggregates_and_does_not_extend_expiry():
     b.on_interest("a", NdnInterest(OBJ, 111), now=0.0)
     out = b.on_interest("x", NdnInterest(OBJ, 222), now=1_000.0)
     assert out == [] and b.aggregated == 1
-    e = b.pit[OBJ]
-    assert e.in_records == ("a", "x") and list(b.seen_nonces) == [111, 222]
-    assert e.expiry == 4_000.0  # still anchored to creation time
+    # the expiry stays anchored to creation time
+    assert b.pit[OBJ] == (4_000.0, "a", "x") and list(b.seen_nonces) == [111, 222]
 
 
 def test_aggregation_replaces_the_pit_entry_with_one_more_face():
@@ -66,15 +68,14 @@ def test_aggregation_replaces_the_pit_entry_with_one_more_face():
     b = make("b", fibs)
     b.on_interest("a", NdnInterest(OBJ, 1), now=0.0)
     first = b.pit[OBJ]
-    assert type(first) is PitEntry and first == (4_000.0, "a")
+    assert type(first) is tuple and first == (4_000.0, "a")
     for nonce, face in [(2, "x"), (3, "a"), (4, "y")]:
         b.on_interest(face, NdnInterest(OBJ, nonce), now=nonce * 500.0)
     e = b.pit[OBJ]
-    assert type(e) is PitEntry and e == (4_000.0, "a", "x", "a", "y")
-    assert e.expiry == 4_000.0 and e.in_records == ("a", "x", "a", "y")
-    assert first == (4_000.0, "a") and first.in_records == ("a",)  # never mutated
-    with pytest.raises(AttributeError):
-        e.expiry = 9_000.0
+    assert type(e) is tuple and e == (4_000.0, "a", "x", "a", "y")
+    assert first == (4_000.0, "a")  # never mutated
+    with pytest.raises(TypeError):
+        e[0] = 9_000.0
     assert list(b.seen_nonces) == [1, 2, 3, 4] and b.aggregated == 3
 
 
@@ -128,10 +129,10 @@ def test_data_pops_pit_and_fans_out_in_arrival_order():
     b.on_interest("x", NdnInterest(OBJ, 1), 0.0)
     b.on_interest("a", NdnInterest(OBJ, 2), 1.0)
     b.on_interest("x", NdnInterest(OBJ, 3), 2.0)
-    assert b.pit[OBJ].in_records == ("x", "a", "x") and b.aggregated == 2
+    assert b.pit[OBJ][1:] == ("x", "a", "x") and b.aggregated == 2
     out = b.on_data("c", DataPacket(OBJ), 2.0)
     assert out == [("x", DataPacket(OBJ)), ("a", DataPacket(OBJ)), ("x", DataPacket(OBJ))]
-    assert b.table_sizes() == (0,)
+    assert b.table_sizes() == (0, 3)  # the nonces stay
     assert b.on_data("c", DataPacket(OBJ), 3.0) is None
     assert b.orphan_data == 1
 
@@ -162,7 +163,7 @@ def test_nacks_are_swallowed():
     b.on_interest("a", NdnInterest(OBJ, 1), 0.0)
     assert b.on_nack("c", Nack(OBJ, NackCode.LOOP), 1.0) is None
     assert b.nacks_dropped == 1
-    assert b.table_sizes() == (1,)  # entry lingers until it times out
+    assert b.table_sizes() == (1, 1)  # entry lingers until it times out
 
 
 def test_expire_pit():
@@ -174,3 +175,58 @@ def test_expire_pit():
     assert OBJ not in b.pit and OBJ2 in b.pit
     assert b.expire_pit(now=150.0) == 1
     assert b.pit_expired == 2
+
+
+def test_aggregating_an_expired_unswept_entry_keeps_its_place_and_expiry():
+    _, fibs = line_fibs()
+    b = make("b", fibs, pit_lifetime_ms=100.0)
+    b.on_interest("a", NdnInterest(OBJ, 1), 0.0)
+    b.on_interest("a", NdnInterest(OBJ2, 2), 50.0)
+    # OBJ's lifetime ran out at 100 ms, and no sweep ran before x's ask
+    assert b.on_interest("x", NdnInterest(OBJ, 3), 120.0) == [] and b.aggregated == 1
+    assert list(b.pit.items()) == [(OBJ, (100.0, "a", "x")), (OBJ2, (150.0, "a"))]
+    assert b.expire_pit(now=120.0) == 1 and list(b.pit) == [OBJ2]
+
+
+def test_expire_pit_reads_no_further_than_the_first_live_entry():
+    _, fibs = line_fibs()
+    b = make("b", fibs)
+    # tables the handlers never build: the sweep trusts dict order, and a
+    # NaN expiry never expires
+    b.pit = {OBJ: (200.0, "a"), OBJ2: (100.0, "a")}
+    assert b.expire_pit(now=150.0) == 0 and list(b.pit) == [OBJ, OBJ2]
+    b.pit = {OBJ: (math.nan, "a"), OBJ2: (100.0, "a")}
+    assert b.expire_pit(now=1e9) == 0 and b.pit_expired == 0
+
+
+_NAMES = [Name.parse(f"/p/{i}") for i in range(4)]
+_STEPS = st.lists(st.tuples(st.sampled_from(["interest", "data", "expire"]),
+                            st.sampled_from(_NAMES), st.sampled_from(["a", "x", "y"]),
+                            st.integers(0, 40), st.integers(0, 120)),
+                  max_size=60)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_STEPS)
+def test_pit_dict_order_is_expiry_order_so_the_sweep_equals_a_full_scan(steps):
+    # random handler calls at a non-decreasing now; small nonces repeat, so
+    # some Interests are refused as loops
+    _, fibs = line_fibs()
+    b = make("b", fibs, pit_lifetime_ms=100.0)
+    now = 0.0
+    for kind, name, face, nonce, step in steps:
+        now += step
+        if kind == "interest":
+            b.on_interest(face, NdnInterest(name, nonce), now)
+        elif kind == "data":
+            b.on_data("c", DataPacket(name), now)
+        else:
+            b.expire_pit(now)
+        expiries = [e[0] for e in b.pit.values()]
+        assert expiries == sorted(expiries)
+        # a sweep now, on a copy, drops and counts what a full scan would
+        probe = copy.copy(b)
+        probe.pit, probe.pit_expired = dict(b.pit), 0
+        live = {n: e for n, e in b.pit.items() if not e[0] <= now}
+        assert probe.expire_pit(now) == len(b.pit) - len(live) == probe.pit_expired
+        assert list(probe.pit.items()) == list(live.items())
