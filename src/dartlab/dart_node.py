@@ -21,34 +21,32 @@ no matter how inconsistent the routing tables are.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import AbstractSet, Callable, Dict, List, Optional, Tuple
 
 from .model import (
     CachingMode,
     ContentStore,
     DataPacket,
+    EDGE,
     Emission,
     Interest,
     MAX_DART,
     Nack,
     NackCode,
     Name,
+    ON_PATH,
     Prefix,
 )
 from .routing import Fib, FibTuple
 
-# on_data tests these per packet; reading a member off an Enum class is a
-# Python-level lookup, about ten times slower than a module global
-ON_PATH, EDGE = CachingMode.ON_PATH, CachingMode.EDGE
-
 
 class DartEntry:
-    __slots__ = ("anchor", "predecessor", "predecessor_dart", "successor",
+    __slots__ = ("key", "predecessor", "predecessor_dart", "successor",
                  "successor_dart", "hop_count", "last_used")
 
-    def __init__(self, anchor, predecessor, predecessor_dart, successor,
+    def __init__(self, key, predecessor, predecessor_dart, successor,
                  successor_dart, hop_count, last_used):
-        self.anchor = anchor
+        self.key = key  # its key in DartRouter.legs
         self.predecessor = predecessor
         self.predecessor_dart = predecessor_dart
         self.successor = successor
@@ -69,18 +67,19 @@ class DartRouter:
                  caching_mode: CachingMode = CachingMode.EDGE,
                  dart_ttl_ms: float = 10_000.0,
                  store_capacity: Optional[int] = None,
-                 owned: Optional[Mapping[Name, DataPacket]] = None):
+                 owned: Optional[AbstractSet[Name]] = None):
         self.router_id = router_id
         self.fib = fib
         self.caching_mode = caching_mode
         self.dart_ttl_ms = dart_ttl_ms
         self.store = ContentStore(store_capacity, anchored, owned)
         self.rct: Dict[Name, Tuple[str, ...]] = {}
-        # every live entry is in by_succ, and in one of by_pred (relay legs,
-        # looked up by sender and token) and _origin (origin legs)
-        self.by_pred: Dict[Tuple[str, int], DartEntry] = {}
+        # every live entry under the key an arriving Interest finds it by,
+        # (sender, token) for a relay leg and (anchor, successor) for an
+        # origin leg, which never collide (a token is an int, a successor a
+        # router id); and under the token its Data and Nacks come back on
+        self.legs: Dict[tuple, DartEntry] = {}
         self.by_succ: Dict[int, DartEntry] = {}
-        self._origin: Dict[Tuple[str, str], DartEntry] = {}  # (anchor, successor)
         self._next_dart = 1
         self.interests_received = 0
         for key in self.TOTALS:
@@ -132,18 +131,12 @@ class DartRouter:
 
     def _add_entry(self, entry: DartEntry) -> DartEntry:
         self.by_succ[entry.successor_dart] = entry
-        if entry.predecessor == self.router_id:
-            self._origin[(entry.anchor, entry.successor)] = entry
-        else:
-            self.by_pred[(entry.predecessor, entry.predecessor_dart)] = entry
+        self.legs[entry.key] = entry
         return entry
 
     def _drop_entry(self, entry: DartEntry):
         del self.by_succ[entry.successor_dart]
-        if entry.predecessor == self.router_id:
-            del self._origin[(entry.anchor, entry.successor)]
-        else:
-            del self.by_pred[(entry.predecessor, entry.predecessor_dart)]
+        del self.legs[entry.key]
 
     def evict_darts(self, now: float) -> int:
         cutoff = now - self.dart_ttl_ms
@@ -172,7 +165,7 @@ class DartRouter:
         self.interests_received += 1
         data = self.store.get(name)
         if data is not None:
-            return [Emission((consumer, DataPacket(name)))]
+            return [Emission((consumer, data))]
         waiting = self.rct.get(name)
         if waiting is not None:
             if consumer not in waiting:
@@ -189,10 +182,11 @@ class DartRouter:
         if not tuples:
             return [Emission((consumer, Nack(name, NackCode.NO_ROUTE)))]
         t = tuples[0]  # origin trusts its best route; refusal happens downstream
-        leg = self._origin.get((t.anchor, t.next_hop))
+        key = (t.anchor, t.next_hop)
+        leg = self.legs.get(key)
         if leg is None:
             sd = self.fresh_dart()
-            leg = self._add_entry(DartEntry(t.anchor, self.router_id, sd,
+            leg = self._add_entry(DartEntry(key, self.router_id, sd,
                                             t.next_hop, sd, t.distance, now))
         leg.last_used = now
         if waiting is None:
@@ -207,7 +201,8 @@ class DartRouter:
             return [Emission((sender, DataPacket(name, interest.dart)))]
         if self.store.anchored and self.store.anchors(name):
             return [Emission((sender, Nack(name, NackCode.NO_CONTENT, interest.dart)))]
-        leg = self.by_pred.get((sender, interest.dart))
+        key = (sender, interest.dart)
+        leg = self.legs.get(key)
         if leg is not None:
             # route already vetted when the entry was created
             leg.last_used = now
@@ -220,8 +215,8 @@ class DartRouter:
             self.loop_nacks += 1
             return [Emission((sender, Nack(name, NackCode.LOOP, interest.dart)))]
         sd = self.fresh_dart()
-        leg = self._add_entry(DartEntry(t.anchor, sender, interest.dart,
-                                        t.next_hop, sd, t.distance, now))
+        self._add_entry(DartEntry(key, sender, interest.dart,
+                                  t.next_hop, sd, t.distance, now))
         return [Emission((t.next_hop, Interest(name, t.distance, sd)))]
 
     def on_data(self, sender: str, data: DataPacket, now: float) -> Optional[List[Emission]]:

@@ -26,8 +26,7 @@ from enum import Enum
 from functools import lru_cache
 from itertools import accumulate, chain, repeat
 from operator import add
-from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .dart_node import DartRouter
 from .model import (
@@ -140,31 +139,28 @@ def generate_workload(spec: WorkloadSpec, consumers: Sequence[str]):
     return heapq.merge(*(_consumer_stream(spec, c, cum) for c in sorted(consumers)))
 
 
-def preload(topology: Topology, catalog: Sequence[Name]
-            ) -> Dict[str, Mapping[Name, DataPacket]]:
-    """Each anchor's content, read-only: ``{router: {name: packet}}`` for
-    the catalog names under the prefixes the router anchors.  Every anchor
-    of a name holds the same packet."""
-    owned = {a: {} for anchors in topology.anchors.values() for a in anchors}
+def preload(topology: Topology, catalog: Sequence[Name]) -> Dict[str, FrozenSet[Name]]:
+    """Each anchor's content: ``{router: frozenset of names}``, the catalog
+    names under the prefixes the router anchors."""
+    owned = {a: [] for anchors in topology.anchors.values() for a in anchors}
     for n in catalog:
-        data = DataPacket(n)
         for prefix, anchors in topology.anchors.items():
             if prefix.matches(n):
                 for a in anchors:
-                    owned[a][n] = data
-    return {a: MappingProxyType(held) for a, held in owned.items()}
+                    owned[a].append(n)
+    return {a: frozenset(names) for a, names in owned.items()}
 
 
 @dataclass(frozen=True)
 class World:
     """The static data a cell is simulated on.  Cells share it, so nothing
-    may write into it: the catalog is a tuple, and the anchors' packets
-    (``preload``) are read-only mappings."""
+    may write into it: the catalog is a tuple, and the anchors' names
+    (``preload``) are frozensets."""
 
     topology: Topology
     fibs: Dict[str, Fib]
     catalog: Tuple[Name, ...]
-    owned: Dict[str, Mapping[Name, DataPacket]]
+    owned: Dict[str, FrozenSet[Name]]
     anchored: Dict[str, Tuple[Prefix, ...]]   # the prefixes each router anchors
     # one-way link delay per (router, neighbour); sends over the delay
     # most links share wait in a FIFO instead of the heap (see run)
@@ -338,14 +334,20 @@ class _Simulation:
                            ("sample_interval_ms", sample_interval_ms)):
             if not value > 0:
                 raise ValueError(f"{key} must be > 0, got {value}")
-        # an infinite retry timer would fire after the run's end
-        if not 0 < retry_timeout_ms < math.inf:
-            raise ValueError(f"retry_timeout_ms must be > 0 and finite, got {retry_timeout_ms}")
-        for key, value in (("sweep_interval_ms", sweep_interval_ms),
-                           ("sample_interval_ms", sample_interval_ms)):
             if not self.horizon_ms <= MAX_TIMER_FIRINGS * value:
                 raise ValueError(f"{key} must be >= the run's length / {MAX_TIMER_FIRINGS}, "
                                  f"got {value}")
+        # an infinite retry timer would fire after the run's end
+        if not 0 < retry_timeout_ms < math.inf:
+            raise ValueError(f"retry_timeout_ms must be > 0 and finite, got {retry_timeout_ms}")
+        # a cell that takes no sample would report every table size as 0,
+        # and a negative warm-up samples before the run starts
+        if not 0 <= warmup_fraction < 1:
+            raise ValueError(f"warmup_fraction must be in [0, 1), got {warmup_fraction}")
+        self.warmup_ms = self.horizon_ms * warmup_fraction
+        if not self.warmup_ms + sample_interval_ms <= self.horizon_ms:
+            raise ValueError(f"sample_interval_ms must be <= the run's length after warm-up, "
+                             f"got {sample_interval_ms}")
         self.world = world
         self.max_tries = max_tries
         self.retry_timeout_ms = retry_timeout_ms
@@ -356,9 +358,11 @@ class _Simulation:
         topology = world.topology
         if consumers is None:
             consumers = {f"c.{r}": r for r in topology.routers}
-        for cid in consumers:
+        for cid, r in consumers.items():
             if cid in topology.neighbors:
                 raise ValueError(f"consumer id collides with a router id: {cid}")
+            if r not in topology.neighbors:
+                raise ValueError(f"consumer {cid} is attached to an unknown router: {r}")
         self.consumer_router: Dict[str, str] = dict(consumers)
 
         attached: Dict[str, List[str]] = {}
@@ -395,13 +399,9 @@ class _Simulation:
                     raise ValueError(f"unknown consumer in script: {consumer}")
                 events.append((t, _REQUEST, (consumer, name, None)))
 
-        self.warmup_ms = self.horizon_ms * warmup_fraction
-
         if sweep_interval_ms <= self.horizon_ms:
             events.append((sweep_interval_ms, _SWEEP, None))
-        first_sample = self.warmup_ms + sample_interval_ms
-        if first_sample <= self.horizon_ms:
-            events.append((first_sample, _SAMPLE, None))
+        events.append((self.warmup_ms + sample_interval_ms, _SAMPLE, None))
         # Heap entries are (time, seq, kind, data): seq breaks time ties in
         # push order, and _seq counts every event pushed.  It also numbers
         # each retry due time, including those an answer cancels before
@@ -619,7 +619,7 @@ class _Simulation:
         and peak, Interest counts and each router's TOTALS."""
         rep, k = self.report, self.sample_count
         for (table, r), total, peak in zip(self.size_keys, self.size_sums, self.size_peaks):
-            rep.table_mean.setdefault(table, {})[r] = total / k if k else 0.0
+            rep.table_mean.setdefault(table, {})[r] = total / k
             rep.table_max.setdefault(table, {})[r] = peak
         for r, node in self.routers.items():
             rep.interests_received[r] = node.interests_received

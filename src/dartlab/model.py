@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import OrderedDict, namedtuple
 from enum import Enum
 from operator import itemgetter
-from typing import Dict, Iterable, Mapping, Optional
+from typing import AbstractSet, Dict, Iterable, Optional
 from urllib.parse import quote
 
 
@@ -114,6 +114,11 @@ class CachingMode(Enum):
     NONE = "none"       # no opportunistic caching
 
 
+# the routers' on_data tests these per packet; reading a member off an Enum
+# class is a Python-level lookup, about ten times slower than a module global
+ON_PATH, EDGE = CachingMode.ON_PATH, CachingMode.EDGE
+
+
 class _Record(tuple):
     """Type-strict equality for the wire messages.
 
@@ -186,25 +191,25 @@ def _esc_name(name: Name) -> str:
 
 
 class ContentStore:
-    """Owned content plus a cache of passing data.
+    """Owned names plus a cache of the names of passing Data.  A Data packet
+    is its name plus a per-hop token, so ``get`` builds the one it answers.
 
-    Owned entries (the router is the object's anchor) never age out.  Cached
-    entries are bounded by ``capacity`` (None = unbounded).  Only a bounded
+    Owned names (the router is the object's anchor) never age out.  Cached
+    names are bounded by ``capacity`` (None = unbounded).  Only a bounded
     store keeps recency: its cache is an ``OrderedDict`` evicted LRU.  An
     unbounded one never evicts, so its cache is a plain ``dict``, which a
     hit leaves as it is.
     ``anchored`` are the prefixes the router anchors: an ask under one of
     them that the store cannot answer names no content.  ``owned`` may be a
-    read-only mapping that other stores share; ``add_owned`` then raises
-    ``TypeError``.
+    ``frozenset`` other stores share, which ``add_owned`` cannot add to.
     """
 
     def __init__(self, capacity: Optional[int] = None, anchored: Iterable[Prefix] = (),
-                 owned: Optional[Mapping[Name, DataPacket]] = None):
+                 owned: Optional[AbstractSet[Name]] = None):
         self.capacity = capacity
         self.anchored = tuple(anchored)
-        self.owned: Mapping[Name, DataPacket] = {} if owned is None else owned
-        self.cached: Dict[Name, DataPacket] = {} if capacity is None else OrderedDict()
+        self.owned: AbstractSet[Name] = set() if owned is None else owned
+        self.cached: Dict[Name, None] = {} if capacity is None else OrderedDict()
         self.evictions = 0
 
     def anchors(self, name: Name) -> bool:
@@ -215,28 +220,28 @@ class ContentStore:
         return False
 
     def add_owned(self, data: DataPacket):
-        self.owned[data.name] = data
+        self.owned.add(data.name)
 
     def cache(self, data: DataPacket):
         name = data.name
         if name in self.owned:
             return
         if self.capacity is None:
-            self.cached.setdefault(name, data)
+            self.cached[name] = None  # a held name keeps its place
             return
         if name in self.cached:
             self.cached.move_to_end(name)
             return
-        self.cached[name] = data
+        self.cached[name] = None
         if len(self.cached) > self.capacity:
             self.cached.popitem(last=False)
             self.evictions += 1
 
     def get(self, name: Name) -> Optional[DataPacket]:
-        d = self.owned.get(name)
-        if d is not None:
-            return d
-        d = self.cached.get(name)
-        if d is not None and self.capacity is not None:
-            self.cached.move_to_end(name)
-        return d
+        """The Data a held ``name`` answers with, or None."""
+        if name not in self.owned:
+            if name not in self.cached:
+                return None
+            if self.capacity is not None:
+                self.cached.move_to_end(name)
+        return DataPacket(name)

@@ -18,23 +18,22 @@ them, so a consumer behind a refused interest simply waits for its timeout.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import AbstractSet, Callable, Dict, Iterable, List, Optional, Tuple
 
 from .model import (
     CachingMode,
     ContentStore,
     DataPacket,
+    EDGE,
     Emission,
     Nack,
     NackCode,
     Name,
     NdnInterest,
+    ON_PATH,
     Prefix,
 )
 from .routing import Fib
-
-# on_data tests these per packet; module globals, as in dart_node
-ON_PATH, EDGE = CachingMode.ON_PATH, CachingMode.EDGE
 
 
 class NdnRouter:
@@ -49,7 +48,7 @@ class NdnRouter:
                  store_capacity: Optional[int] = None,
                  local_consumers: Iterable[str] = (),
                  nonce_seed: object = 0,
-                 owned: Optional[Mapping[Name, DataPacket]] = None):
+                 owned: Optional[AbstractSet[Name]] = None):
         self.router_id = router_id
         self.fib = fib
         self.caching_mode = caching_mode

@@ -196,7 +196,7 @@ def fig2_sharing() -> ScenarioResult:
     sim, rep, trace = _simulate(topo, fibs, Scheme.DART, requests, consumers,
                                 caching="edge")
 
-    sizes = {r: sim.routers[r].table_size() for r in topo.routers}
+    sizes = {r: sim.routers[r].table_sizes()[0] for r in topo.routers}
     c.equal("route-state footprint", sizes,
             {"a": 1, "r": 1, "s": 1, "x": 1, "b": 2, "c": 2, "d": 0})
 

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dartlab.dart_node import DartRouter
 from dartlab.model import (
@@ -41,11 +43,10 @@ def test_local_interest_creates_origin_leg_and_pending_rct():
     assert a.rct == {OBJ: ("c1",)}  # every RCT entry is pending
     leg = a.by_succ[msg.dart]
     assert leg.predecessor == "a" and leg.predecessor_dart == msg.dart
-    assert leg.successor == "b" and leg.anchor == "d"
+    assert leg.successor == "b" and leg.key == ("d", "b")
     # an origin leg is found by (anchor, successor); no sender ever names
-    # it, so it is not indexed by predecessor
-    assert a._origin == {("d", "b"): leg}
-    assert a.by_pred == {}
+    # it, so no (sender, token) key leads to it
+    assert a.legs == {("d", "b"): leg}
 
 
 def test_local_interest_aggregates_second_consumer():
@@ -117,7 +118,7 @@ def test_neighbor_interest_forwards_and_keeps_budget_shrinking():
     assert len(out) == 1
     dst, msg = out[0]
     assert dst == "c" and msg.hop_count == 2 and msg.dart != 7
-    leg = b.by_pred[("a", 7)]
+    leg = b.legs[("a", 7)]
     assert leg.successor == "c" and leg.successor_dart == msg.dart
     assert leg.hop_count == 2 and b.table_size() == 1
 
@@ -129,7 +130,7 @@ def test_neighbor_interest_fast_path_reuses_leg():
     (again,) = b.on_neighbor_interest("a", Interest(OBJ2, 3, 7), now=5.0)
     assert again == ("c", Interest(OBJ2, 2, first.message.dart))
     assert b.table_size() == 1
-    assert b.by_pred[("a", 7)].last_used == 5.0
+    assert b.legs[("a", 7)].last_used == 5.0
 
 
 def test_neighbor_interest_refuses_without_forward_progress():
@@ -294,7 +295,7 @@ def test_evict_darts_is_idle_based():
     b, sd = relay_with_leg()
     b.on_neighbor_interest("a", Interest(OBJ2, 3, 8), now=5_000.0)
     assert b.evict_darts(now=11_000.0) == 1  # only the leg idle since t=0
-    assert b.table_size() == 1 and ("a", 8) in b.by_pred
+    assert b.table_size() == 1 and list(b.legs) == [("a", 8)]
     assert b.dart_evicted == 1
     # refreshing keeps an entry alive indefinitely
     b.on_neighbor_interest("a", Interest(OBJ, 3, 8), now=14_000.0)
@@ -305,10 +306,10 @@ def test_evicted_origin_leg_is_recreated_on_next_ask():
     a, sd = origin_with_pending()
     assert a.evict_darts(now=60_000.0) == 1
     assert a.table_size() == 0
-    assert a.by_succ == a.by_pred == a._origin == {}
+    assert a.by_succ == a.legs == {}
     (fwd,) = a.on_local_interest("c3", OBJ2, 60_001.0)
     assert a.table_size() == 1 and fwd.message.dart != sd
-    assert list(a._origin.values()) == [a.by_succ[fwd.message.dart]] and a.by_pred == {}
+    assert a.legs == {("d", "b"): a.by_succ[fwd.message.dart]}
 
 
 def test_fresh_dart_wraps_and_skips_in_use():
@@ -336,3 +337,55 @@ def test_evicted_content_is_fetched_again_through_a_fresh_rct_entry():
     assert a.on_local_interest("c2", OBJ, 4.0) == \
         [("b", Interest(OBJ, f1.message.hop_count, f1.message.dart))]
     assert a.rct == {OBJ: ("c2",)}
+
+
+# b's origin legs go to d through c and to a directly, keyed ("d", "c") and
+# ("a", "a"); relay legs from a are keyed ("a", token) and never meet them.
+# Relay legs leave through c, e or a as the hop budget allows.
+Q = Prefix.parse("/q")
+_LEG_NAMES = [Name.parse(t) for t in ("/p/1", "/p/2", "/q/1", "/q/2")]
+_LEG_STEPS = st.lists(st.tuples(
+    st.sampled_from(["ask", "interest", "data", "nack", "evict"]),
+    st.sampled_from(_LEG_NAMES), st.sampled_from(["a", "c", "e", "x"]),
+    st.integers(1, 6), st.integers(1, 4), st.integers(0, 30), st.integers(0, 50),
+    st.booleans()), max_size=60)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_LEG_STEPS)
+def test_every_leg_sits_in_both_indexes_under_its_own_keys(steps):
+    # random local asks, neighbour Interests, Data and Nacks back (on a live
+    # leg's token from its successor, or on any token from anyone) and
+    # sweeps, at a non-decreasing now
+    topo = Topology(("a", "b", "c", "d", "e"),
+                    {("a", "b"): 1.0, ("b", "c"): 1.0, ("c", "d"): 1.0,
+                     ("b", "e"): 1.0, ("d", "e"): 1.0}, {P: ("d",), Q: ("a",)})
+    b = DartRouter("b", compute_fibs(topo)["b"], dart_ttl_ms=50.0,
+                   caching_mode=CachingMode.NONE)
+    now = 0.0
+    for kind, name, sender, token, hops, step, pick, on_leg in steps:
+        now += step
+        legs = list(b.by_succ.values())
+        if on_leg and legs:
+            leg = legs[pick % len(legs)]
+            sender, token = leg.successor, leg.successor_dart
+        if kind == "ask":
+            b.on_local_interest("c.b", name, now)
+        elif kind == "interest":
+            b.on_neighbor_interest(sender, Interest(name, hops, token), now)
+        elif kind == "data":
+            b.on_data(sender, DataPacket(name, token), now)
+        elif kind == "nack":
+            b.on_nack(sender, Nack(name, NackCode.LOOP, token), now)
+        else:
+            b.evict_darts(now)
+        assert sorted(map(id, b.legs.values())) == sorted(map(id, b.by_succ.values()))
+        for key, leg in b.legs.items():
+            assert leg.key == key
+            if leg.predecessor == "b":
+                assert key[1] == leg.successor  # (anchor, successor)
+            else:
+                assert key == (leg.predecessor, leg.predecessor_dart)
+        for token, leg in b.by_succ.items():
+            assert leg.successor_dart == token
+        assert b.table_sizes()[0] == len(b.legs)

@@ -6,7 +6,7 @@ import pickle
 import re
 import tracemalloc
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, replace
 from itertools import accumulate
 
 import numpy as np
@@ -165,17 +165,15 @@ def test_preload_equals_a_prefix_matches_reference(scheme):
     sim = _Simulation(World.build(topo, compute_fibs(topo), names), Scheme(scheme),
                       CachingMode.EDGE, duration_ms=1_000.0)
     for r in ids:
-        owned = sim.routers[r].store.owned
+        store = sim.routers[r].store
         expected = {n for n in names
                     if any(p.matches(n) for p, anchors in anchored.items() if r in anchors)}
-        assert set(owned) == expected
-        assert all(type(d) is DataPacket and d == DataPacket(n) for n, d in owned.items())
-    assert set(sim.routers["a"].store.owned) == {Name.parse("/r/4"), Name.parse("/r")}
-    # every anchor of a name holds the same packet
-    for n in names:
-        held = {id(node.store.owned[n]) for node in sim.routers.values()
-                if n in node.store.owned}
-        assert len(held) <= 1
+        # the world's names, read-only by type; get builds the Data
+        assert type(store.owned) is frozenset and store.owned == expected
+        assert store.owned is sim.world.owned[r]  # shared, not copied
+        for n in expected:
+            assert type(store.get(n)) is DataPacket and store.get(n) == DataPacket(n)
+    assert sim.routers["a"].store.owned == {Name.parse("/r/4"), Name.parse("/r")}
 
 
 @pytest.mark.parametrize("scheme", ["dart", "ndn"])
@@ -513,6 +511,29 @@ def test_timers_firing_past_the_cap_are_rejected(key):
         scripted_sim(duration_ms=horizon, **{key: 1e-20})
 
 
+@pytest.mark.parametrize("fraction", [math.nan, 1.0, 2.0, -5.0])
+def test_a_warmup_outside_the_run_is_rejected(fraction):
+    # NaN, 1 and 2 took no sample and read every table mean as 0.0; -5
+    # took 60 samples, the first at t=-4900 ms
+    with pytest.raises(ValueError, match=r"warmup_fraction must be in \[0, 1\), got "):
+        scripted_sim(warmup_fraction=fraction)
+
+
+def test_a_first_sample_after_the_run_is_rejected():
+    # ExperimentConfig's rule: the first sample falls within the run
+    scripted_sim(duration_ms=1000.0, warmup_fraction=0.5, sample_interval_ms=500.0)
+    with pytest.raises(ValueError, match="sample_interval_ms must be <= the run's length "
+                                         "after warm-up, got 501.0"):
+        scripted_sim(duration_ms=1000.0, warmup_fraction=0.5, sample_interval_ms=501.0)
+
+
+def test_a_consumer_on_an_unknown_router_is_rejected():
+    # it used to end the run in a raw KeyError when its request came up
+    with pytest.raises(ValueError, match="consumer c.z is attached to an unknown router: zz"):
+        scripted_sim(consumers={"c.a": "a", "c.z": "zz"},
+                     requests=[(0.0, "c.z", Name.parse("/p/0"))])
+
+
 def test_determinism_of_reports():
     topo = generate_topology(10, 60.0, 28.0, 5.0, seed=2)
     topo = topo.with_anchors({P: (topo.routers[1],)})
@@ -636,6 +657,24 @@ def test_a_finished_cell_leaves_no_cyclic_garbage(scheme, caching, tmp_path):
         if was:
             gc.enable()
     assert found == 0
+
+
+@pytest.mark.parametrize("capacity", [0, 5])
+@pytest.mark.parametrize("scheme", ["dart", "ndn"])
+def test_stores_hold_names_not_packets_after_an_on_path_cell(scheme, capacity, monkeypatch):
+    sims = []
+    report = _Simulation._report
+    monkeypatch.setattr(_Simulation, "_report", lambda sim: sims.append(sim) or report(sim))
+    simulate_cell(replace(parse_config(GC_CELL), store_capacity=capacity),
+                  scheme, "onpath", 50.0, 1)
+    (sim,) = sims
+    assert sim.world.owned
+    assert all(type(held) is frozenset for held in sim.world.owned.values())
+    stores = [node.store for node in sim.routers.values()]
+    assert any(store.cached for store in stores)
+    for store in stores:
+        assert all(type(n) is Name for n in (*store.owned, *store.cached))
+        assert set(store.cached.values()) <= {None}
 
 
 @pytest.mark.parametrize("scheme, positive", [

@@ -158,18 +158,18 @@ def test_caching_mode_values():
 def test_content_store_owned_beats_cache_and_lru_evicts():
     cs = ContentStore(capacity=2)
     n1, n2, n3 = (Name.parse(f"/o/{i}") for i in range(3))
-    own = DataPacket(n1)
-    cs.add_owned(own)
+    cs.add_owned(DataPacket(n1))
     cs.cache(DataPacket(n1))  # owned wins, not cached
-    assert cs.get(n1) is own
+    assert type(cs.get(n1)) is DataPacket and cs.get(n1) == DataPacket(n1)
     cs.cache(DataPacket(n2))
     cs.cache(DataPacket(n3))
-    assert list(cs.owned) == [n1] and list(cs.cached) == [n2, n3]
-    cs.get(n2)  # refresh n2, so n3 is the LRU victim
+    # the store holds names; get builds the packet
+    assert cs.owned == {n1} and list(cs.cached.items()) == [(n2, None), (n3, None)]
+    assert cs.get(n2) == DataPacket(n2)  # refresh n2, so n3 is the LRU victim
     cs.cache(DataPacket(Name.parse("/o/4")))
     assert n3 not in cs.cached and cs.evictions == 1
     assert cs.get(n3) is None
-    assert cs.get(n1) is own and list(cs.cached) == [n2, Name.parse("/o/4")]
+    assert cs.get(n1) == DataPacket(n1) and list(cs.cached) == [n2, Name.parse("/o/4")]
 
 
 def test_content_store_anchors_names_under_its_prefixes():
@@ -185,9 +185,8 @@ def test_content_store_unbounded_by_default():
     names = [Name.parse(f"/x/{i}") for i in range(1000)]
     for n in names:
         cs.cache(DataPacket(n))
-    first = cs.cached[names[0]]
-    assert cs.get(names[0]) is first
-    cs.cache(DataPacket(names[0]))  # already held: the first copy stays
+    assert cs.get(names[0]) == DataPacket(names[0])
+    cs.cache(DataPacket(names[0], 7))  # already held: it keeps its place
     assert type(cs.cached) is dict and list(cs.cached) == names
-    assert cs.cached[names[0]] is first
+    assert set(cs.cached.values()) == {None}
     assert len(cs.cached) == 1000 and cs.evictions == 0
