@@ -39,6 +39,9 @@ from .model import (
 )
 from .routing import Fib, FibTuple
 
+# builds a DataPacket in C (see model._Record): _new(DataPacket, (name, dart))
+_new = tuple.__new__
+
 
 class DartEntry:
     __slots__ = ("key", "predecessor", "predecessor_dart", "successor",
@@ -163,9 +166,8 @@ class DartRouter:
 
     def on_local_interest(self, consumer: str, name: Name, now: float) -> List[Emission]:
         self.interests_received += 1
-        data = self.store.get(name)
-        if data is not None:
-            return [Emission((consumer, data))]
+        if self.store.get(name) is not None:
+            return [Emission((consumer, _new(DataPacket, (name, None))))]
         waiting = self.rct.get(name)
         if waiting is not None:
             if consumer not in waiting:
@@ -196,9 +198,8 @@ class DartRouter:
     def on_neighbor_interest(self, sender: str, interest: Interest, now: float) -> List[Emission]:
         self.interests_received += 1
         name = interest.name
-        data = self.store.get(name)
-        if data is not None:
-            return [Emission((sender, DataPacket(name, interest.dart)))]
+        if self.store.get(name) is not None:
+            return [Emission((sender, _new(DataPacket, (name, interest.dart))))]
         if self.store.anchored and self.store.anchors(name):
             return [Emission((sender, Nack(name, NackCode.NO_CONTENT, interest.dart)))]
         key = (sender, interest.dart)
@@ -231,13 +232,16 @@ class DartRouter:
         if leg.predecessor != self.router_id:
             if mode is ON_PATH:
                 self.store.cache(data)
-            return [Emission((leg.predecessor, DataPacket(data.name, leg.predecessor_dart)))]
+            return [Emission((leg.predecessor,
+                              _new(DataPacket, (data.name, leg.predecessor_dart))))]
         waiting = self.rct.pop(data.name, None)
         if mode is ON_PATH or (mode is EDGE and waiting is not None):
             self.store.cache(data)
         if waiting is None:
             return []
-        return [Emission((c, DataPacket(data.name))) for c in sorted(waiting)]
+        # one packet for every consumer waiting here: it is immutable
+        out = _new(DataPacket, (data.name, None))
+        return [Emission((c, out)) for c in sorted(waiting)]
 
     def on_nack(self, sender: str, nack: Nack, now: float) -> Optional[List[Emission]]:
         """None means the Nack was dropped as an orphan, as in ``on_data``."""

@@ -19,7 +19,7 @@ import heapq
 import math
 import random
 from bisect import bisect_right
-from collections import Counter, OrderedDict, deque
+from collections import Counter, deque
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
 from enum import Enum
@@ -274,20 +274,11 @@ class MetricsReport:
 _TOTAL_FIELDS = tuple(f.name for f in fields(MetricsReport) if type(f.default) is int)
 
 
-class _OpenRequest:
-    # due: (time, seq) of the retry, set each time the request leaves its router
-    __slots__ = ("due", "attempt", "issues")
-
-    def __init__(self, now):
-        self.due = None
-        self.attempt = 1
-        self.issues = [now]
-
-
 def _first_due(open_requests):
-    """The due time of the first open request, or None with none open."""
+    """The first open request's record, the one due next; None with none
+    open, or while the one open request is still being sent (no due yet)."""
     for rec in open_requests.values():
-        return rec.due
+        return rec if rec[0] is not None else None
     return None
 
 
@@ -326,6 +317,9 @@ class _Simulation:
             raise ValueError("catalog smaller than workload.catalog_size")
         if workload is None and duration_ms is None:
             raise ValueError("duration_ms is required without a workload")
+        # NaN fails the comparison too
+        if duration_ms is not None and not 0 < duration_ms < math.inf:
+            raise ValueError(f"duration_ms must be > 0 and finite, got {duration_ms}")
         self.horizon_ms = (float(duration_ms) if duration_ms is not None
                            else workload.duration * 1000.0)
         # A non-positive period would re-arm its timer at or before now
@@ -426,10 +420,12 @@ class _Simulation:
         self.size_peaks = [0] * len(self.size_keys)
         self.sample_count = 0
         self.delay_sum = {r: 0.0 for r in rl}
-        self.open: OrderedDict = OrderedDict()
+        # (consumer, name) -> (due_time, seq, attempt, issue_time, ...): one
+        # tuple per open request, in the order their retries fall due
+        self.open: Dict[Tuple[str, Name], tuple] = {}
 
     def _recent_lines(self) -> List[str]:
-        return [_trace_line(t, dst, "RX", m, src) for (t, src, dst, m) in self.recent]
+        return [_trace_line(t, dst, "RX", m, src) for (t, _, dst, src, m, _) in self.recent]
 
     # -- timers: each returns when it fires next ---------------------------
 
@@ -458,15 +454,19 @@ class _Simulation:
         Sends over the delay most links share wait in the ``sends`` FIFO as
         (time, seq, dst, src, message, chain), in order because each waits
         one delay from a non-decreasing now.  Open requests, kept in the
-        order their retries fall due, are the retry queue: an answer or an
-        abandon deletes a request's entry, so no retry outlives it.  All
-        else waits in the heap as (time, seq, kind, data).
+        order their retries fall due, are the retry queue: its head ``due``
+        is the first record itself, (due_time, seq, attempt, issue_time,
+        ...), and an answer or an abandon deletes a request's record, so no
+        retry outlives it.  All else waits in the heap as (time, seq, kind,
+        data).  Seq numbers are unique, so no comparison of two heads reads
+        past the seq.  An event that re-arms (a consumer's next request, a
+        sample or a sweep) replaces the heap head in one operation.
 
         Cyclic garbage collection is off while the loop runs and is put
         back as the caller had it on every exit.  The loop builds no
         reference cycles, so refcounting frees everything it allocates and
         a collection would only walk live objects."""
-        heap, pop, push = self.heap, heapq.heappop, heapq.heappush
+        heap, pop, push, replace = self.heap, heapq.heappop, heapq.heappush, heapq.heapreplace
         sends: deque = deque()
         send, take, consumer_router = sends.append, sends.popleft, self.consumer_router
         handlers = {r: node.handlers() for r, node in self.routers.items()}
@@ -487,21 +487,26 @@ class _Simulation:
             while True:
                 if sends and (not heap or sends[0] < heap[0]) and (
                         due is None or sends[0] < due):
-                    now, _, here, sender, in_msg, in_chain = take()
+                    entry = take()
+                    now, _, here, sender, in_msg, in_chain = entry
+                    if audit:
+                        remember(entry)
                     kind = _DELIVER
                 elif due is not None and (not heap or due < heap[0]):
                     now, kind = due[0], _RETRY
                 elif heap:
-                    now, _, kind, data = pop(heap)
+                    # the head stays on the heap until its event knows
+                    # whether it re-arms
+                    now, s, kind, data = heap[0]
                     if kind == _DELIVER:
+                        pop(heap)
                         here, sender, in_msg, in_chain = data
+                        if audit:
+                            remember((now, s, here, sender, in_msg, in_chain))
                 else:
                     break
                 if kind == _DELIVER:
-                    mt = type(in_msg)
-                    if audit:
-                        remember((now, sender, here, in_msg))
-                    ems = handlers[here][mt](sender, in_msg, now)
+                    ems = handlers[here][type(in_msg)](sender, in_msg, now)
                     if write is not None:
                         # handlers return None exactly when they drop the packet
                         write(_trace_line(now, here, "RX" if ems is not None else "DROP",
@@ -511,37 +516,47 @@ class _Simulation:
                 else:
                     if kind == _REQUEST:
                         consumer, name, stream = data
-                        if stream is not None:
-                            nxt = next(stream, None)
-                            if nxt is not None:
-                                seq += 1
-                                push(heap, (nxt[0], seq, _REQUEST,
-                                            (consumer, catalog[nxt[2]], stream)))
+                        nxt = next(stream, None) if stream is not None else None
+                        if nxt is not None:
+                            seq += 1
+                            replace(heap, (nxt[0], seq, _REQUEST,
+                                           (consumer, catalog[nxt[2]], stream)))
+                        else:
+                            pop(heap)
                         requests += 1
                         key = (consumer, name)
                         opened = open_requests.get(key)
                         if opened is not None:
                             # same consumer re-asks while the first fetch is in flight: ride it
-                            opened.issues.append(now)
+                            ride = open_requests[key] = opened + (now,)
+                            if opened is due:
+                                due = ride
                             continue
-                        opened = open_requests[key] = _OpenRequest(now)
+                        # no due until the request has left its router
+                        opened = open_requests[key] = (None, None, 1, now)
                     elif kind == _RETRY:
-                        # the first open request is the one due
-                        key, opened = next(iter(open_requests.items()))
+                        # the first open request is the one due and the
+                        # second falls due next: one walk finds both, as a
+                        # walk from the front passes every deleted entry
+                        firsts = iter(open_requests.items())
+                        key, opened = next(firsts)
+                        due = next(firsts, (None, None))[1]
+                        del open_requests[key]
                         consumer, name = key
-                        if opened.attempt >= max_tries:
-                            abandoned += len(opened.issues)
-                            del open_requests[key]
-                            due = _first_due(open_requests)
+                        if opened[2] >= max_tries:
+                            abandoned += len(opened) - 3
                             self.routers[consumer_router[consumer]].give_up(consumer, name)
                             continue
-                        opened.attempt += 1
                         retries += 1
+                        # sent again, it waits for a new due at the end
+                        opened = open_requests[key] = (None, None, opened[2] + 1, *opened[3:])
                     else:
                         at = self._sample(now) if kind == _SAMPLE else self._sweep(now)
                         if at <= horizon:
                             seq += 1
-                            push(heap, (at, seq, kind, None))
+                            replace(heap, (at, seq, kind, None))
+                        else:
+                            pop(heap)
                         continue
                     # the consumer's ask reaches its router at once, as the
                     # packet the router makes of it
@@ -563,17 +578,17 @@ class _Simulation:
                         rec = open_requests.pop((dst, m.name), None)
                         if rec is None:
                             continue
-                        if rec.due is due:
+                        if rec is due:
                             due = _first_due(open_requests)
                         if mt is DataPacket:
                             r = consumer_router[dst]
-                            for t0 in rec.issues:
+                            for t0 in rec[3:]:
                                 delivered += 1
                                 if t0 >= warm:
                                     delay_sum[r] += now - t0
                                     delay_count[r] += 1
                         else:
-                            n = len(rec.issues)
+                            n = len(rec) - 3
                             nacked += n
                             code = m.code.value
                             nacked_by_code[code] = nacked_by_code.get(code, 0) + n
@@ -602,10 +617,9 @@ class _Simulation:
                 if kind != _DELIVER and key in open_requests:
                     # the request left its router: its retry falls due last
                     seq += 1
-                    opened.due = (now + retry_timeout, seq)
-                    open_requests.move_to_end(key)
-                    if due is None or kind == _RETRY:
-                        due = _first_due(open_requests)
+                    opened = open_requests[key] = (now + retry_timeout, seq, *opened[2:])
+                    if due is None:
+                        due = opened
         finally:
             if gc_was_enabled:
                 gc.enable()

@@ -35,6 +35,9 @@ from .model import (
 )
 from .routing import Fib
 
+# builds a DataPacket or NdnInterest in C (see model._Record)
+_new = tuple.__new__
+
 
 class NdnRouter:
     # counters under the names of the MetricsReport totals they add up to
@@ -76,7 +79,7 @@ class NdnRouter:
     def ask(self, name: Name) -> NdnInterest:
         """The packet a local consumer's ask for ``name`` arrives as: an
         Interest with a fresh 64-bit nonce."""
-        return NdnInterest(name, self._nonce_bits(64))
+        return _new(NdnInterest, (name, self._nonce_bits(64)))
 
     def sweep(self, now: float) -> int:
         return self.expire_pit(now)
@@ -93,9 +96,8 @@ class NdnRouter:
         consumer (one of ``local_consumers``)."""
         self.interests_received += 1
         name, nonce = interest.name, interest.nonce
-        data = self.store.get(name)
-        if data is not None:
-            return [Emission((sender, data))]
+        if self.store.get(name) is not None:
+            return [Emission((sender, _new(DataPacket, (name, None))))]
         if nonce in self.seen_nonces:
             # the same interest came around again: classic duplicate kill
             self.loop_nacks += 1

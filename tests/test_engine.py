@@ -11,6 +11,8 @@ from itertools import accumulate
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from dartlab.dart_node import DartRouter
@@ -32,7 +34,6 @@ from dartlab.experiment import build_topology, parse_config, run_cell, simulate_
 from dartlab.model import (
     CachingMode,
     ContentStore,
-    DataPacket,
     Emission,
     Interest,
     Name,
@@ -168,11 +169,11 @@ def test_preload_equals_a_prefix_matches_reference(scheme):
         store = sim.routers[r].store
         expected = {n for n in names
                     if any(p.matches(n) for p, anchors in anchored.items() if r in anchors)}
-        # the world's names, read-only by type; get builds the Data
+        # the world's names, read-only by type; get answers with the name
         assert type(store.owned) is frozenset and store.owned == expected
         assert store.owned is sim.world.owned[r]  # shared, not copied
         for n in expected:
-            assert type(store.get(n)) is DataPacket and store.get(n) == DataPacket(n)
+            assert store.get(n) is n
     assert sim.routers["a"].store.owned == {Name.parse("/r/4"), Name.parse("/r")}
 
 
@@ -495,6 +496,14 @@ def test_non_positive_timers_are_rejected(key, value):
         scripted_sim(**{key: value})
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -5.0])
+def test_a_run_length_outside_zero_to_inf_is_rejected(value):
+    # each was refused under another field's name: NaN and inf as a
+    # sweep_interval_ms too short, 0 and -5 as a sample_interval_ms too long
+    with pytest.raises(ValueError, match=f"^duration_ms must be > 0 and finite, got {value}$"):
+        scripted_sim(duration_ms=value)
+
+
 def test_infinite_retry_timeout_is_rejected():
     # an infinite retry timer fired after the run's end, at t=inf
     with pytest.raises(ValueError, match="retry_timeout_ms must be > 0 and finite, got inf"):
@@ -573,6 +582,41 @@ def test_audit_catches_non_descending_hop_budget():
     assert ei.value.kind == "hop-count-descent"
     assert ei.value.router == "b"
     assert "recent deliveries" in str(ei.value)
+
+
+def test_audit_error_lists_fifo_and_heap_deliveries_in_order():
+    # c-d is the one 40 ms link, so the sends over it wait in the heap and
+    # all others in the FIFO; the audit ring keeps both kinds of delivery
+    links = {("a", "b"): 25.0, ("b", "c"): 25.0, ("c", "d"): 40.0, ("d", "e"): 25.0}
+    topo = Topology(("a", "b", "c", "d", "e"), links, {P: ("e",)})
+    fibs = compute_fibs(topo)
+    sim = _Simulation(World.build(topo, fibs, catalog(2)), Scheme.DART, CachingMode.NONE,
+                      requests=[(0.0, "c.a", Name.parse("/p/0")),
+                                (300.0, "c.a", Name.parse("/p/1"))],
+                      consumers={"c.a": "a"}, duration_ms=2000.0)
+    honest = sim.routers["d"].on_neighbor_interest
+
+    def stuck_late(sender, interest, now):
+        if now > 300.0:
+            return [Emission(("e", Interest(interest.name, interest.hop_count, 77)))]
+        return honest(sender, interest, now)
+
+    sim.routers["d"].on_neighbor_interest = stuck_late
+    with pytest.raises(AuditError) as ei:
+        sim.run()
+    assert ei.value.recent == [
+        "t=25.0 b RX INT name=/p/0 h=4 dart=1 peer=a",
+        "t=50.0 c RX INT name=/p/0 h=3 dart=1 peer=b",
+        "t=90.0 d RX INT name=/p/0 h=2 dart=1 peer=c",
+        "t=115.0 e RX INT name=/p/0 h=1 dart=1 peer=d",
+        "t=140.0 d RX DATA name=/p/0 h=- dart=1 peer=e",
+        "t=180.0 c RX DATA name=/p/0 h=- dart=1 peer=d",
+        "t=205.0 b RX DATA name=/p/0 h=- dart=1 peer=c",
+        "t=230.0 a RX DATA name=/p/0 h=- dart=1 peer=b",
+        "t=325.0 b RX INT name=/p/1 h=4 dart=1 peer=a",
+        "t=350.0 c RX INT name=/p/1 h=3 dart=1 peer=b",
+        "t=390.0 d RX INT name=/p/1 h=2 dart=1 peer=c",
+    ]
 
 
 def test_audit_error_survives_a_pickle_round_trip():
@@ -744,6 +788,101 @@ def test_mixed_delay_cell_outputs_are_pinned(scheme, caching, tmp_path, monkeypa
     got = (hashlib.sha256(rows.encode()).hexdigest(),
            hashlib.sha256(path.read_bytes()).hexdigest())
     assert got == MIXED_DELAY_DIGESTS[(scheme, caching)]
+
+
+# --- pinned outputs of a retry-heavy grid ------------------------------------------
+
+# Retry timeouts shorter than many round trips over the default 230 ms
+# links, two tries and a small store: each cell retries 217-238 requests and
+# abandons 152-212, and the NDN cells aggregate about 320 Interests, so the
+# open-request records (rides, retries, abandons) and store hits are pinned.
+RETRY_CELL = """\
+nodes = 12
+area = 30
+radius = 12
+producers = 2
+catalog = 200
+rates = 20
+seeds = 1
+duration_s = 5
+retry_timeout_s = 0.6
+max_tries = 2
+pit_lifetime_s = 2
+dart_ttl_s = 1
+store_capacity = 20
+"""
+
+# SHA-256 of rows() (formatted as the CSV writer formats them) and of the
+# trace text of each cell of RETRY_CELL
+RETRY_DIGESTS = {
+    ("dart", "edge"): ("4ede761ac1cb1379bda999fce7d7bff83c65e646159a17e58b3b8fcf39a44928",
+                       "f7f9f08a012594864733a9cd3a760d936ec1a5681717904237bf9d1d52ea2df7"),
+    ("dart", "onpath"): ("9e8e884c4682ea2a2cc11c70eeab535e866fc826471b834497bbfb80f6619805",
+                         "e3d63696086b7359cbf9019a7f058b785468ddd3f9736a808cfa9ab061b20881"),
+    ("ndn", "edge"): ("142f97760e3512fd2a10b4eda40fbfcf394b999da41173b9c99b8c68acf5c598",
+                      "837a71da9e032364e2d11e321b2d9fce1b8e6fd2f8610e8dea83e72514b7f2b8"),
+    ("ndn", "onpath"): ("cd10b3dfbdf38c0a57cc6302f63229eeff7f5a424401b92eb2495f7adc1ecf0f",
+                        "2d39678841495f33faf894ac428a082587944a38624d3f7e21f1b19f4734d5b4"),
+}
+
+
+def test_retry_heavy_grid_outputs_are_pinned(tmp_path):
+    cfg = parse_config(RETRY_CELL)
+    assert {cell[:2] for cell in cfg.cells()} == set(RETRY_DIGESTS)
+    for scheme, caching, rate, seed in cfg.cells():
+        path = tmp_path / f"{scheme}_{caching}.txt"
+        rep = simulate_cell(cfg, scheme, caching, rate, seed, str(path))
+        assert rep.retries > 200 and rep.abandoned > 150
+        rows = "".join(",".join(experiment._fmt(v) for v in row) + "\n" for row in rep.rows())
+        got = (hashlib.sha256(rows.encode()).hexdigest(),
+               hashlib.sha256(path.read_bytes()).hexdigest())
+        assert got == RETRY_DIGESTS[(scheme, caching)], (scheme, caching)
+
+
+def _assert_open_records_in_due_order(records, max_tries):
+    # (due_time, seq, attempt, issue_time, ...): every record has a due, the
+    # dict order is strictly increasing (due_time, seq), and each record
+    # holds at least one issue
+    assert all(r[0] is not None and 1 <= r[2] <= max_tries and len(r) > 3 for r in records)
+    assert all(a[:2] < b[:2] for a, b in zip(records, records[1:]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(scheme=st.sampled_from(["dart", "ndn"]),
+       caching=st.sampled_from(["edge", "onpath", "none"]),
+       nodes=st.integers(2, 7), topology_seed=st.integers(0, 20),
+       seed=st.integers(0, 1000), rate=st.floats(5.0, 80.0),
+       retry_timeout_ms=st.floats(5.0, 60.0), max_tries=st.integers(1, 3),
+       lifetime_ms=st.floats(10.0, 400.0), capacity=st.sampled_from([None, 2]))
+def test_requests_are_conserved_and_open_records_stay_in_due_order(
+        scheme, caching, nodes, topology_seed, seed, rate, retry_timeout_ms, max_tries,
+        lifetime_ms, capacity):
+    # Retry timeouts of at most three 20 ms link delays, so requests ride,
+    # retry and are abandoned; names under /q have no route and are nacked.
+    topo = generate_topology(nodes, 30.0, 14.0, 20.0, seed=topology_seed)
+    topo = topo.with_anchors({P: (topo.routers[0],)})
+    names = catalog(12) + [Name.parse(f"/q/{i}") for i in range(3)]
+    spec = WorkloadSpec(0.8, len(names), rate, 1.0, seed=seed)
+    sim = _Simulation(World.build(topo, compute_fibs(topo), names), Scheme(scheme),
+                      CachingMode(caching), workload=spec, retry_timeout_ms=retry_timeout_ms,
+                      max_tries=max_tries, dart_ttl_ms=lifetime_ms, pit_lifetime_ms=lifetime_ms,
+                      sweep_interval_ms=50.0, sample_interval_ms=20.0, store_capacity=capacity)
+    sample, seen = sim._sample, []
+
+    def checked_sample(now):
+        records = list(sim.open.values())
+        _assert_open_records_in_due_order(records, max_tries)
+        assert all(r[0] >= now and max(r[3:]) <= now for r in records)
+        seen.append(len(records))
+        return sample(now)
+
+    sim._sample = checked_sample
+    rep = sim.run()
+    assert len(seen) == sim.sample_count > 0
+    records = list(sim.open.values())
+    _assert_open_records_in_due_order(records, max_tries)
+    still_open = sum(len(r) - 3 for r in records)
+    assert rep.requests == rep.delivered + rep.nacked + rep.abandoned + still_open
 
 
 @pytest.mark.parametrize("audit_fails", [False, True])

@@ -151,6 +151,22 @@ def test_messages_pickle_through_their_constructor(msg, text):
         assert repr(back) == text
 
 
+@pytest.mark.parametrize("cls, fields", [(DataPacket, (N, 5)), (DataPacket, (N, None)),
+                                         (NdnInterest, (N, 2**64 - 1))])
+def test_records_built_in_c_match_the_constructor(cls, fields):
+    # the routers build these two with tuple.__new__ on the per-packet paths
+    fast, made = tuple.__new__(cls, fields), cls(*fields)
+    assert type(fast) is cls and fast == made and not fast != made
+    assert hash(fast) == hash(made) and len({fast, made}) == 1
+    assert repr(fast) == repr(made)
+    for other_type in {Interest, DataPacket, Nack, NdnInterest} - {cls}:
+        other = tuple.__new__(other_type, fields)
+        assert fast != other and not fast == other and other != fast
+    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(fast, protocol))
+        assert type(back) is cls and back == made and tuple(back) == fields
+
+
 def test_caching_mode_values():
     assert {m.value for m in CachingMode} == {"onpath", "edge", "none"}
 
@@ -160,16 +176,29 @@ def test_content_store_owned_beats_cache_and_lru_evicts():
     n1, n2, n3 = (Name.parse(f"/o/{i}") for i in range(3))
     cs.add_owned(DataPacket(n1))
     cs.cache(DataPacket(n1))  # owned wins, not cached
-    assert type(cs.get(n1)) is DataPacket and cs.get(n1) == DataPacket(n1)
+    assert cs.get(n1) is n1
     cs.cache(DataPacket(n2))
     cs.cache(DataPacket(n3))
-    # the store holds names; get builds the packet
+    # the store holds names; get answers with the name it was given
     assert cs.owned == {n1} and list(cs.cached.items()) == [(n2, None), (n3, None)]
-    assert cs.get(n2) == DataPacket(n2)  # refresh n2, so n3 is the LRU victim
+    assert cs.get(n2) is n2  # refresh n2, so n3 is the LRU victim
     cs.cache(DataPacket(Name.parse("/o/4")))
     assert n3 not in cs.cached and cs.evictions == 1
     assert cs.get(n3) is None
-    assert cs.get(n1) == DataPacket(n1) and list(cs.cached) == [n2, Name.parse("/o/4")]
+    assert cs.get(n1) is n1 and list(cs.cached) == [n2, Name.parse("/o/4")]
+
+
+@pytest.mark.parametrize("capacity", [None, 2])
+def test_content_store_get_returns_the_name_it_was_given(capacity):
+    # an equal name built anew is held too, and get hands back the caller's
+    # object, not the stored key; a name not held gives None
+    owned, cached = Name.parse("/o/0"), Name.parse("/o/1")
+    cs = ContentStore(capacity, owned=frozenset({owned}))
+    cs.cache(DataPacket(cached))
+    for held in (owned, cached):
+        twin = Name.parse(str(held))
+        assert twin is not held and cs.get(twin) is twin and cs.get(held) is held
+    assert cs.get(Name.parse("/o/2")) is None and cs.get(Prefix.parse("/o")) is None
 
 
 def test_content_store_anchors_names_under_its_prefixes():
@@ -185,7 +214,7 @@ def test_content_store_unbounded_by_default():
     names = [Name.parse(f"/x/{i}") for i in range(1000)]
     for n in names:
         cs.cache(DataPacket(n))
-    assert cs.get(names[0]) == DataPacket(names[0])
+    assert cs.get(names[0]) is names[0]
     cs.cache(DataPacket(names[0], 7))  # already held: it keeps its place
     assert type(cs.cached) is dict and list(cs.cached) == names
     assert set(cs.cached.values()) == {None}
