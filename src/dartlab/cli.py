@@ -55,9 +55,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def cmd_run(args) -> int:
     try:
-        text = Path(args.config).read_text()
+        text = Path(args.config).read_text(encoding="utf-8")
     except OSError as e:
         print(f"cannot read config: {e}", file=sys.stderr)
+        return CONFIG_ERROR
+    except UnicodeDecodeError as e:
+        print(f"config error: {args.config}: {e}", file=sys.stderr)
         return CONFIG_ERROR
     try:
         cfg = parse_config(text)

@@ -21,7 +21,7 @@ no matter how inconsistent the routing tables are.
 
 from __future__ import annotations
 
-from typing import AbstractSet, Callable, Dict, List, Optional, Tuple
+from typing import Callable, Collection, Dict, List, Optional, Tuple
 
 from .model import (
     CachingMode,
@@ -70,7 +70,7 @@ class DartRouter:
                  caching_mode: CachingMode = CachingMode.EDGE,
                  dart_ttl_ms: float = 10_000.0,
                  store_capacity: Optional[int] = None,
-                 owned: Optional[AbstractSet[Name]] = None):
+                 owned: Optional[Collection[Name]] = None):
         self.router_id = router_id
         self.fib = fib
         self.caching_mode = caching_mode

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -275,26 +276,30 @@ def _read_cell(path: Path) -> Dict:
     per_router_sizes = []
     interests = 0
     delay_mean = None
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != list(CSV_HEADER):
-            raise ConfigError(f"{path.name}: unexpected CSV header {reader.fieldnames}")
-        for row in reader:
-            metric, router = row["metric"], row["router"]
-            try:
-                value = float(row["value"])
-                if router == "*":
-                    if metric == "delay_mean_ms":
-                        delay_mean = value
-                elif metric == "table_size_mean":
-                    per_router_sizes.append(value)
-                elif metric == "interests_received":
-                    interests += int(value)
-            except (TypeError, ValueError, OverflowError):
-                # a short row reads its missing fields as None, and an
-                # infinite count has no int
-                raise ConfigError(f"{path.name}: line {reader.line_num}: "
-                                  f"bad value {row['value']!r}") from None
+    try:
+        # decoded whole, so an error gives the byte's offset in the file
+        text = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path.name}: {e}") from None
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    if reader.fieldnames != list(CSV_HEADER):
+        raise ConfigError(f"{path.name}: unexpected CSV header {reader.fieldnames}")
+    for row in reader:
+        metric, router = row["metric"], row["router"]
+        try:
+            value = float(row["value"])
+            if router == "*":
+                if metric == "delay_mean_ms":
+                    delay_mean = value
+            elif metric == "table_size_mean":
+                per_router_sizes.append(value)
+            elif metric == "interests_received":
+                interests += int(value)
+        except (TypeError, ValueError, OverflowError):
+            # a short row reads its missing fields as None, and an
+            # infinite count has no int
+            raise ConfigError(f"{path.name}: line {reader.line_num}: "
+                              f"bad value {row['value']!r}") from None
     if not per_router_sizes:
         raise ConfigError(f"{path.name}: no per-router table size rows")
     return {

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import OrderedDict, namedtuple
 from enum import Enum
 from operator import itemgetter
-from typing import AbstractSet, Dict, Iterable, Optional
+from typing import Collection, Dict, Iterable, Optional
 from urllib.parse import quote
 
 
@@ -204,15 +204,16 @@ class ContentStore:
     unbounded one never evicts, so its cache is a plain ``dict``, which a
     hit leaves as it is.
     ``anchored`` are the prefixes the router anchors: an ask under one of
-    them that the store cannot answer names no content.  ``owned`` may be a
-    ``frozenset`` other stores share, which ``add_owned`` cannot add to.
+    them that the store cannot answer names no content.  ``owned`` may be
+    the world's read-only mapping of names, which other stores share and
+    ``add_owned`` cannot add to.
     """
 
     def __init__(self, capacity: Optional[int] = None, anchored: Iterable[Prefix] = (),
-                 owned: Optional[AbstractSet[Name]] = None):
+                 owned: Optional[Collection[Name]] = None):
         self.capacity = capacity
         self.anchored = tuple(anchored)
-        self.owned: AbstractSet[Name] = set() if owned is None else owned
+        self.owned: Collection[Name] = set() if owned is None else owned
         self.cached: Dict[Name, None] = {} if capacity is None else OrderedDict()
         self.evictions = 0
 

@@ -18,7 +18,7 @@ them, so a consumer behind a refused interest simply waits for its timeout.
 from __future__ import annotations
 
 import random
-from typing import AbstractSet, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Collection, Dict, Iterable, List, Optional, Tuple
 
 from .model import (
     CachingMode,
@@ -51,7 +51,7 @@ class NdnRouter:
                  store_capacity: Optional[int] = None,
                  local_consumers: Iterable[str] = (),
                  nonce_seed: object = 0,
-                 owned: Optional[AbstractSet[Name]] = None):
+                 owned: Optional[Collection[Name]] = None):
         self.router_id = router_id
         self.fib = fib
         self.caching_mode = caching_mode

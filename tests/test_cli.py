@@ -99,6 +99,31 @@ def test_exit_codes_for_config_problems(tmp_path, capsys):
     assert cli.main(["--help"]) == 0
 
 
+def test_run_refuses_a_config_that_is_not_utf8(tmp_path, capsys):
+    # byte 0xff starts no UTF-8 sequence; a config is read as UTF-8 in any locale
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_bytes(CFG.encode() + b"# caf\xff\n")
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "r")]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"config error: {cfg}: 'utf-8' codec can't decode byte "
+                                f"0xff in position {len(CFG) + 5}: invalid start byte"]
+    assert not (tmp_path / "r").exists()
+
+
+def test_compare_refuses_a_csv_that_is_not_utf8(tmp_path, capsys):
+    out = tmp_path / "results"
+    assert cli.main(["run", write_cfg(tmp_path), "--out", str(out)]) == 0
+    csv_path = next(out.glob("metrics_dart_*.csv"))
+    good = csv_path.read_bytes()
+    csv_path.write_bytes(good + b"dart,none,20.0,n0,note,\xff\n")
+    capsys.readouterr()
+    assert cli.main(["compare", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"config error: {csv_path.name}: 'utf-8' codec can't decode "
+                                f"byte 0xff in position {len(good) + 23}: invalid start byte"]
+    assert not (out / "comparison.csv").exists()
+
+
 def _run_cli(tmp_path, line):
     # the line takes the place of CFG's line for its key: a key set twice is refused
     key = line.partition("=")[0]

@@ -34,6 +34,7 @@ from dartlab.experiment import build_topology, parse_config, run_cell, simulate_
 from dartlab.model import (
     CachingMode,
     ContentStore,
+    DataPacket,
     Emission,
     Interest,
     Name,
@@ -89,7 +90,34 @@ def test_zipf_table_is_bit_identical_to_the_generator_form(alpha):
     reference = list(accumulate((k + 1) ** -alpha for k in range(size)))
     table = zipf_cumulative(alpha, size)
     assert [float(x).hex() for x in table] == [float(x).hex() for x in reference]
-    assert [type(x) for x in table] == [type(x) for x in reference]
+    # one shared table, read-only by type
+    with pytest.raises(TypeError):
+        table[0] = 0.0
+
+
+# SHA-256 of generate_workload's stream for three consumers at 40 requests/s
+# for 10 s, one "time consumer index" line per request (1,191 lines); an int
+# alpha draws the same stream as its float, and a one-name catalog the same
+# stream whatever the alpha
+STREAM_DIGESTS = [
+    (0, 10_000, "2f78e745f017a793bf66112fea07c9eb3fab84f73d45ee25ec032e2cdedf151f"),
+    (0.0, 10_000, "2f78e745f017a793bf66112fea07c9eb3fab84f73d45ee25ec032e2cdedf151f"),
+    (1, 10_000, "c7e54daab314459acf7945d25f830a74f2a2e0087b55b24995b55aa4892a8cf4"),
+    (1.0, 10_000, "c7e54daab314459acf7945d25f830a74f2a2e0087b55b24995b55aa4892a8cf4"),
+    (1.2, 10_000, "3ff47dc8bbe986bbbf902adce6ca1914893e3e723b001f4907fb44c007dd9a11"),
+    (1.2, 1, "7b5e6ce06b97b974383b7e56baaef842113c275ea04d0903b964bd96f8cc117d"),
+    (0, 1, "7b5e6ce06b97b974383b7e56baaef842113c275ea04d0903b964bd96f8cc117d"),
+]
+
+
+@pytest.mark.parametrize("alpha, size, digest", STREAM_DIGESTS,
+                         ids=[f"{a!r}-{s}" for a, s, _ in STREAM_DIGESTS])
+def test_request_streams_are_pinned(alpha, size, digest):
+    spec = WorkloadSpec(alpha, size, 40.0, 10.0, seed="streams")
+    text = "".join(f"{t!r} {c} {i}\n"
+                   for t, c, i in generate_workload(spec, ["c.b", "c.a", "c.c"]))
+    assert text.count("\n") == 1191
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_poisson_event_count_concentrates():
@@ -170,11 +198,22 @@ def test_preload_equals_a_prefix_matches_reference(scheme):
         expected = {n for n in names
                     if any(p.matches(n) for p, anchors in anchored.items() if r in anchors)}
         # the world's names, read-only by type; get answers with the name
-        assert type(store.owned) is frozenset and store.owned == expected
+        assert store.owned.keys() == expected
         assert store.owned is sim.world.owned[r]  # shared, not copied
+        _assert_read_only(store)
         for n in expected:
             assert store.get(n) is n
-    assert sim.routers["a"].store.owned == {Name.parse("/r/4"), Name.parse("/r")}
+    # in catalog order
+    assert list(sim.routers["a"].store.owned) == [Name.parse("/r/4"), Name.parse("/r")]
+
+
+def _assert_read_only(store):
+    # a shared store's names refuse a write by type
+    held = next(iter(store.owned), Name.parse("/p/9"))
+    with pytest.raises(TypeError):
+        store.owned[held] = None
+    with pytest.raises(AttributeError):
+        store.add_owned(DataPacket(held))
 
 
 @pytest.mark.parametrize("scheme", ["dart", "ndn"])
@@ -713,8 +752,11 @@ def test_stores_hold_names_not_packets_after_an_on_path_cell(scheme, capacity, m
                   scheme, "onpath", 50.0, 1)
     (sim,) = sims
     assert sim.world.owned
-    assert all(type(held) is frozenset for held in sim.world.owned.values())
     stores = [node.store for node in sim.routers.values()]
+    for r, node in sim.routers.items():
+        if r in sim.world.owned:
+            assert node.store.owned is sim.world.owned[r]
+            _assert_read_only(node.store)
     assert any(store.cached for store in stores)
     for store in stores:
         assert all(type(n) is Name for n in (*store.owned, *store.cached))

@@ -390,8 +390,14 @@ def test_cells_leave_the_shared_world_as_it_was_built(fresh_world):
         assert world.anchored == fresh.anchored
         assert world.delays == fresh.delays
         assert world.shared_delay == fresh.shared_delay
-        # every anchor's store holds its names in a frozenset, read-only by type
-        assert world.owned and all(type(held) is frozenset for held in world.owned.values())
+        # every anchor's names are the catalog's under its prefixes, in
+        # catalog order, and refuse a write by type
+        assert world.owned
+        for r, held in world.owned.items():
+            assert list(held) == [n for n in world.catalog
+                                  if any(p.matches(n) for p in world.anchored[r])]
+            with pytest.raises(TypeError):
+                held[world.catalog[0]] = None
 
 
 @pytest.mark.parametrize("scheme, caching", [("dart", "edge"), ("ndn", "onpath")])
