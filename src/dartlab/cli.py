@@ -24,7 +24,7 @@ from .experiment import (
     write_comparison_csv,
 )
 from .routing import TopologyError
-from .scenarios import SCENARIOS, run_scenario
+from .scenarios import SCENARIOS
 
 OK, CONFIG_ERROR, AUDIT_VIOLATION, ASSERTION_FAILURE = 0, 1, 2, 3
 
@@ -109,7 +109,7 @@ def cmd_scenario(args) -> int:
         print(f"unknown scenario {args.name!r}; choices: {', '.join(sorted(SCENARIOS))}",
               file=sys.stderr)
         return CONFIG_ERROR
-    result = run_scenario(args.name)
+    result = SCENARIOS[args.name]()
     for line in result.lines:
         print(line)
     if args.trace:

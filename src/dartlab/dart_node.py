@@ -15,8 +15,10 @@ A DART router keeps state per *route in use*, not per in-flight interest:
 An interest from a neighbour is only accepted if some admissible next hop is
 strictly closer to an anchor than the hop budget the interest carries and is
 not the neighbour it came from.  A router that cannot offer such a next hop
-refuses with a loop nack instead of forwarding — interests can never orbit,
-no matter how inconsistent the routing tables are.
+refuses with a loop nack instead of forwarding, so each hop's budget
+strictly falls, and a live audit catches an interest that revisits a router.
+That alone is not loop-freedom under stale tables: a router that stamps a
+stale distance can be revisited (ROADMAP item 2 stamps its least distance).
 """
 
 from __future__ import annotations

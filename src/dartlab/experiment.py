@@ -273,7 +273,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir, config_text: str = "",
 # --- comparison ----------------------------------------------------------------
 
 def _read_cell(path: Path) -> Dict:
-    per_router_sizes = []
+    """A cell's state as its run reported it (``*,table_size_router_mean``),
+    its summed Interests and its delay.  A row whose value does not parse is an error."""
+    state = None
     interests = 0
     delay_mean = None
     try:
@@ -289,10 +291,10 @@ def _read_cell(path: Path) -> Dict:
         try:
             value = float(row["value"])
             if router == "*":
-                if metric == "delay_mean_ms":
+                if metric == "table_size_router_mean":
+                    state = value
+                elif metric == "delay_mean_ms":
                     delay_mean = value
-            elif metric == "table_size_mean":
-                per_router_sizes.append(value)
             elif metric == "interests_received":
                 interests += int(value)
         except (TypeError, ValueError, OverflowError):
@@ -300,10 +302,10 @@ def _read_cell(path: Path) -> Dict:
             # infinite count has no int
             raise ConfigError(f"{path.name}: line {reader.line_num}: "
                               f"bad value {row['value']!r}") from None
-    if not per_router_sizes:
-        raise ConfigError(f"{path.name}: no per-router table size rows")
+    if state is None:
+        raise ConfigError(f"{path.name}: no table_size_router_mean row")
     return {
-        "table_size_mean": fold_sum(per_router_sizes) / len(per_router_sizes),
+        "state": state,
         "interests": interests,
         "delay_mean_ms": delay_mean,
     }
@@ -359,7 +361,7 @@ def compare_dir(dir_path):
         row = {}
         for scheme in ("dart", "ndn"):
             runs = g.get(scheme, [])
-            row[f"{scheme}_state"] = mean([r["table_size_mean"] for r in runs])
+            row[f"{scheme}_state"] = mean([r["state"] for r in runs])
             row[f"{scheme}_interests"] = mean([r["interests"] for r in runs])
             row[f"{scheme}_delay_ms"] = mean([r["delay_mean_ms"] for r in runs])
         if row["dart_state"] and row["ndn_state"] is not None:

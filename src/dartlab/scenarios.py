@@ -240,11 +240,3 @@ SCENARIOS: Dict[str, Callable[[], ScenarioResult]] = {
     "fig1-stale": fig1_stale,
     "fig2-sharing": fig2_sharing,
 }
-
-
-def run_scenario(name: str) -> ScenarioResult:
-    try:
-        fn = SCENARIOS[name]
-    except KeyError:
-        raise KeyError(f"unknown scenario {name!r}; choices: {sorted(SCENARIOS)}")
-    return fn()

@@ -200,15 +200,23 @@ def test_audit_violation_maps_to_exit_2(tmp_path, monkeypatch, capsys):
     assert "audit violation" in capsys.readouterr().err
 
 
-def _corrupt_row(tmp_path, spoil):
+def _corrupt_row(tmp_path, spoil, key=",interests_received,", detail=None):
+    # the first line holding key is replaced by the lines spoil makes of it
     out = tmp_path / "results"
     assert cli.main(["run", write_cfg(tmp_path), "--out", str(out)]) == 0
     csv_path = next(out.glob("metrics_dart_*.csv"))
     lines = csv_path.read_text().splitlines()
-    n = next(i for i, line in enumerate(lines) if ",interests_received," in line)
-    lines[n] = spoil(lines[n])
+    n = next(i for i, line in enumerate(lines) if key in line)
+    lines[n:n + 1] = spoil(lines[n])
     csv_path.write_text("\n".join(lines) + "\n")
-    return ["compare", str(out)], f"{csv_path.name}: line {n + 1}"
+    return ["compare", str(out)], f"{csv_path.name}: {detail or f'line {n + 1}'}"
+
+
+def _compare_after(tmp_path, spoil, detail):
+    out = tmp_path / "results"
+    assert cli.main(["run", write_cfg(tmp_path), "--out", str(out)]) == 0
+    spoil(out)
+    return ["compare", str(out)], detail
 
 
 @pytest.mark.parametrize("case", [
@@ -217,10 +225,19 @@ def _corrupt_row(tmp_path, spoil):
                   "--trace", str(tmp / "nodir" / "t")], "nodir"),
     lambda tmp: (["scenario", "fig2-sharing", "--trace", str(tmp / "nodir" / "t.txt")],
                  "nodir"),
-    lambda tmp: _corrupt_row(tmp, lambda line: line.rsplit(",", 1)[0]),
-    lambda tmp: _corrupt_row(tmp, lambda line: line.rsplit(",", 1)[0] + ",inf"),
+    lambda tmp: _corrupt_row(tmp, lambda line: [line.rsplit(",", 1)[0]]),
+    lambda tmp: _corrupt_row(tmp, lambda line: [line.rsplit(",", 1)[0] + ",inf"]),
+    lambda tmp: _corrupt_row(tmp, lambda line: [], ",table_size_router_mean,",
+                             "no table_size_router_mean row"),
+    lambda tmp: _corrupt_row(tmp, lambda line: [line.rsplit(",", 1)[0]], "scheme,",
+                             "unexpected CSV header"),
+    lambda tmp: _compare_after(tmp, lambda out: (out / "metrics_x.csv").touch(),
+                               "unrecognised metrics file name: metrics_x.csv"),
+    lambda tmp: _compare_after(tmp, lambda out: (out / "comparison.csv").mkdir(),
+                               "i/o error:"),
 ], ids=["run-out-is-a-file", "run-trace-dir-missing", "scenario-trace-dir-missing",
-        "compare-short-row", "compare-infinite-count"])
+        "compare-short-row", "compare-infinite-count", "compare-no-state-row",
+        "compare-bad-header", "compare-bad-file-name", "compare-output-is-a-dir"])
 def test_bad_output_path_or_csv_exits_1_with_one_line(case, tmp_path, capsys):
     argv, detail = case(tmp_path)
     capsys.readouterr()
@@ -255,14 +272,17 @@ def test_scenario_subcommand_passes(name, tmp_path, capsys):
 
 
 def test_scenario_failure_maps_to_exit_3(monkeypatch, capsys):
-    from dartlab.scenarios import ScenarioResult
+    from dartlab.scenarios import ScenarioResult, _Checks
 
-    monkeypatch.setitem(cli.SCENARIOS, "fig2-sharing", lambda: None)
-    monkeypatch.setattr(cli, "run_scenario",
-                        lambda name: ScenarioResult(name, False, ["FAIL x"], ["t=0.0 ..."]))
+    c = _Checks()
+    c.equal("delivered", 0, 1)
+    c.check("no detail", False)
+    monkeypatch.setitem(cli.SCENARIOS, "fig2-sharing",
+                        lambda: ScenarioResult("fig2-sharing", c.ok, c.lines, ["t=0.0 ..."]))
     assert cli.main(["scenario", "fig2-sharing"]) == 3
-    err = capsys.readouterr().err
-    assert "FAIL" in err and "--- trace ---" in err
+    out, err = capsys.readouterr()
+    assert out.splitlines() == ["FAIL delivered: got 0, want 1", "FAIL no detail"]
+    assert "--- trace ---" in err and "scenario fig2-sharing: FAIL" in err
 
 
 # --- fuzzing `dartlab run` ------------------------------------------------------

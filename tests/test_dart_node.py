@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dartlab import dart_node
 from dartlab.dart_node import DartRouter
 from dartlab.model import (
     CachingMode,
@@ -321,6 +322,17 @@ def test_fresh_dart_wraps_and_skips_in_use():
     a.by_succ[MAX_DART] = object()
     a._next_dart = MAX_DART
     assert a.fresh_dart() == 1  # wrapped past the in-use token
+
+
+def test_fresh_dart_refuses_once_every_token_is_in_use(monkeypatch):
+    _, fibs = line_fibs()
+    a = make("a", fibs)
+    monkeypatch.setattr(dart_node, "MAX_DART", 2)
+    a.by_succ[1] = object()
+    assert a.fresh_dart() == 2
+    a.by_succ[2] = object()
+    with pytest.raises(RuntimeError, match="^route token space exhausted$"):
+        a.fresh_dart()
 
 
 def test_evicted_content_is_fetched_again_through_a_fresh_rct_entry():

@@ -27,6 +27,7 @@ from dartlab.engine import (
     generate_workload,
     run,
     sample_table_sizes,
+    simulate,
     zipf_cumulative,
 )
 from dartlab import experiment
@@ -582,6 +583,36 @@ def test_a_consumer_on_an_unknown_router_is_rejected():
                      requests=[(0.0, "c.z", Name.parse("/p/0"))])
 
 
+@pytest.mark.parametrize("kw, message", [
+    (dict(workload=WorkloadSpec(1.0, 1, 1.0, 1.0, 1)),
+     "pass either a workload or scripted requests, not both"),
+    (dict(workload=WorkloadSpec(1.0, 2, 1.0, 1.0, 1), requests=None),
+     "catalog smaller than workload.catalog_size"),
+    (dict(consumers={"c.a": "a", "b": "b"}), "consumer id collides with a router id: b"),
+    (dict(requests=[(0.0, "c.x", Name.parse("/p/0"))]), "unknown consumer in script: c.x"),
+], ids=["workload-and-script", "short-catalog", "consumer-named-as-a-router",
+        "unknown-scripted-consumer"])
+def test_inconsistent_traffic_is_rejected(kw, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        scripted_sim(**kw)
+
+
+def test_the_across_router_mean_is_a_left_fold():
+    # 1e16 + 1.0 rounds back to 1e16, so a left fold of these means is 0.0;
+    # the compensated sum() of Python 3.12 and later gives 1/3
+    topo, fibs = line_topology(3)
+    sim = _Simulation(World.build(topo, fibs, catalog()), Scheme.NDN, CachingMode.NONE,
+                      requests=[], duration_ms=1000.0)
+    means = {"a": 1e16, "b": 1.0, "c": -1e16}
+    first = sim.report.tables[0]
+    sim.size_sums = [means[r] if t == first else 0 for t, r in sim.size_keys]
+    sim.sample_count = 1
+    rep = sim._report()
+    assert rep.table_mean[first] == means
+    assert rep.table_size_router_mean == 0.0
+    assert ("*", "table_size_router_mean", 0.0) in [row[3:] for row in rep.rows()]
+
+
 def test_determinism_of_reports():
     topo = generate_topology(10, 60.0, 28.0, 5.0, seed=2)
     topo = topo.with_anchors({P: (topo.routers[1],)})
@@ -1034,3 +1065,12 @@ def test_rows_match_csv_contract():
         assert isinstance(value, (int, float))
     metrics = {(r, m) for (_, _, _, r, m, _) in rep.rows()}
     assert ("*", "requests") in metrics and ("a", "table_size_mean") in metrics
+
+
+def test_rows_give_one_total_per_nack_code():
+    topo = Topology(("a", "b"), {("a", "b"): 25.0}, {P: ("b",)})
+    rep = simulate(World.build(topo, compute_fibs(topo), catalog()), "dart", "none",
+                   requests=[(0.0, "c.a", Name.parse("/q/0"))], consumers={"c.a": "a"},
+                   duration_ms=1000.0, warmup_fraction=0.0)
+    totals = [row[3:] for row in rep.rows() if row[3] == "*"]
+    assert ("*", "nacked", 1) in totals and ("*", "nacked_no-route", 1) in totals

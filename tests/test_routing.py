@@ -72,6 +72,14 @@ def test_topology_validation():
         Topology(("a", "b"), {})  # disconnected
     with pytest.raises(TopologyError):
         Topology(("a", "b"), {("a", "b"): 1.0}, {Prefix.parse("/p"): ("zzz",)})
+    with pytest.raises(TopologyError, match="^no routers$"):
+        Topology((), {})
+    with pytest.raises(TopologyError, match="^duplicate router ids$"):
+        Topology(("a", "b", "a"), {("a", "b"): 1.0})
+    with pytest.raises(TopologyError, match=r"^link endpoint unknown: \('a', 'c'\)$"):
+        Topology(("a", "b"), {("a", "b"): 1.0, ("a", "c"): 1.0})
+    with pytest.raises(TopologyError, match="^prefix /p has no anchor$"):
+        Topology(("a", "b"), {("a", "b"): 1.0}, {Prefix.parse("/p"): ()})
     t = Topology(("a", "b"), {("a", "b"): 2.5})
     assert t.delay("b", "a") == 2.5
     assert t.neighbors == {"a": ("b",), "b": ("a",)}
