@@ -20,7 +20,7 @@ import math
 import random
 from array import array
 from bisect import bisect_right
-from collections import Counter, deque
+from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
 from enum import Enum
@@ -168,21 +168,16 @@ class World:
     catalog: Tuple[Name, ...]
     owned: Dict[str, Mapping[Name, None]]
     anchored: Dict[str, Tuple[Prefix, ...]]   # the prefixes each router anchors
-    # one-way link delay per (router, neighbour); sends over the delay
-    # most links share wait in a FIFO instead of the heap (see run)
-    delays: Dict[str, Dict[str, float]]
-    shared_delay: Optional[float]
+    delays: Dict[str, Dict[str, float]]       # one-way delay per (router, neighbour)
 
     @classmethod
     def build(cls, topology: Topology, fibs: Dict[str, Fib], catalog: Sequence[Name]) -> World:
         catalog = tuple(catalog)
-        shared = Counter(topology.links.values()).most_common(1)
         return cls(topology, fibs, catalog, preload(topology, catalog),
                    {r: tuple(p for p, anchors in topology.anchors.items() if r in anchors)
                     for r in topology.routers},
                    {r: {n: topology.delay(r, n) for n in topology.neighbors[r]}
-                    for r in topology.routers},
-                   shared[0][0] if shared else None)
+                    for r in topology.routers})
 
 
 def fold_sum(values) -> float:
@@ -457,13 +452,14 @@ class _Simulation:
         handler swapped in before ``run`` is the one called.
 
         The loop takes the smallest head by (time, seq) of three queues.
-        Sends over the delay most links share wait in the ``sends`` FIFO as
-        (time, seq, dst, src, message, chain), in order because each waits
-        one delay from a non-decreasing now.  Open requests, kept in the
-        order their retries fall due, are the retry queue: its head ``due``
-        is the first record itself, (due_time, seq, attempt, issue_time,
-        ...), and an answer or an abandon deletes a request's record, so no
-        retry outlives it.  All else waits in the heap as (time, seq, kind,
+        A send, (time, seq, dst, src, message, chain), waits in the
+        ``sends`` FIFO when it sorts after the FIFO's tail, which keeps the
+        FIFO in order, and else in the heap as (time, seq, _DELIVER, send);
+        one path delivers both.  Open requests, kept in the order their
+        retries fall due, are the retry queue: its head ``due`` is the
+        first record itself, (due_time, seq, attempt, issue_time, ...), and
+        an answer or an abandon deletes a request's record, so no retry
+        outlives it.  All else waits in the heap as (time, seq, kind,
         data).  Seq numbers are unique, so no comparison of two heads reads
         past the seq.  An event that re-arms (a consumer's next request, a
         sample or a sweep) replaces the heap head in one operation.
@@ -477,7 +473,7 @@ class _Simulation:
         send, take, consumer_router = sends.append, sends.popleft, self.consumer_router
         handlers = {r: node.handlers() for r, node in self.routers.items()}
         asks = {r: node.ask for r, node in self.routers.items()}
-        delays, shared, catalog = self.world.delays, self.world.shared_delay, self.world.catalog
+        delays, catalog = self.world.delays, self.world.catalog
         rep, open_requests, delay_sum = self.report, self.open, self.delay_sum
         delay_count, nacked_by_code = rep.delay_count, rep.nacked_by_code
         warm, horizon = self.warmup_ms, self.horizon_ms
@@ -493,25 +489,21 @@ class _Simulation:
             while True:
                 if sends and (not heap or sends[0] < heap[0]) and (
                         due is None or sends[0] < due):
-                    entry = take()
-                    now, _, here, sender, in_msg, in_chain = entry
-                    if audit:
-                        remember(entry)
-                    kind = _DELIVER
+                    kind, data = _DELIVER, take()
                 elif due is not None and (not heap or due < heap[0]):
                     now, kind = due[0], _RETRY
                 elif heap:
                     # the head stays on the heap until its event knows
                     # whether it re-arms
-                    now, s, kind, data = heap[0]
+                    now, _, kind, data = heap[0]
                     if kind == _DELIVER:
                         pop(heap)
-                        here, sender, in_msg, in_chain = data
-                        if audit:
-                            remember((now, s, here, sender, in_msg, in_chain))
                 else:
                     break
                 if kind == _DELIVER:
+                    now, _, here, sender, in_msg, in_chain = data
+                    if audit:
+                        remember(data)
                     ems = handlers[here][type(in_msg)](sender, in_msg, now)
                     if write is not None:
                         # handlers return None exactly when they drop the packet
@@ -614,11 +606,11 @@ class _Simulation:
                     if write is not None:
                         write(_trace_line(now, here, "TX", m, dst) + "\n")
                     seq += 1
-                    d = delays[here][dst]
-                    if d == shared:
-                        send((now + d, seq, dst, here, m, chain))
+                    entry = (now + delays[here][dst], seq, dst, here, m, chain)
+                    if not sends or entry > sends[-1]:
+                        send(entry)
                     else:
-                        push(heap, (now + d, seq, _DELIVER, (dst, here, m, chain)))
+                        push(heap, (entry[0], seq, _DELIVER, entry))
 
                 if kind != _DELIVER and key in open_requests:
                     # the request left its router: its retry falls due last

@@ -48,8 +48,9 @@ class Topology:
                 raise TopologyError(f"link endpoint unknown: {(u, v)}")
             if not u < v:
                 raise TopologyError(f"link key must be ordered (u < v): {(u, v)}")
-            if delay <= 0:
-                raise TopologyError(f"non-positive delay on {(u, v)}")
+            # NaN fails the comparison too
+            if not 0 < delay < math.inf:
+                raise TopologyError(f"delay on {(u, v)} must be > 0 and finite, got {delay}")
             adj[u].append(v)
             adj[v].append(u)
         object.__setattr__(

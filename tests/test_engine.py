@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import heapq
 import io
 import math
 import pickle
@@ -654,16 +655,19 @@ def test_audit_catches_non_descending_hop_budget():
     assert "recent deliveries" in str(ei.value)
 
 
-def test_audit_error_lists_fifo_and_heap_deliveries_in_order():
-    # c-d is the one 40 ms link, so the sends over it wait in the heap and
-    # all others in the FIFO; the audit ring keeps both kinds of delivery
+def test_audit_error_lists_fifo_and_heap_deliveries_in_order(monkeypatch):
+    # c-d is the one 40 ms link.  c.d asks at d 10 ms after c sent /p/0 to
+    # d, so d's 25 ms send to e falls due before that 40 ms send and waits
+    # in the heap; every other send sorts after the FIFO's tail and waits
+    # there.  The audit ring keeps both kinds of delivery, in order.
     links = {("a", "b"): 25.0, ("b", "c"): 25.0, ("c", "d"): 40.0, ("d", "e"): 25.0}
     topo = Topology(("a", "b", "c", "d", "e"), links, {P: ("e",)})
     fibs = compute_fibs(topo)
     sim = _Simulation(World.build(topo, fibs, catalog(2)), Scheme.DART, CachingMode.NONE,
                       requests=[(0.0, "c.a", Name.parse("/p/0")),
+                                (60.0, "c.d", Name.parse("/p/1")),
                                 (300.0, "c.a", Name.parse("/p/1"))],
-                      consumers={"c.a": "a"}, duration_ms=2000.0)
+                      consumers={"c.a": "a", "c.d": "d"}, duration_ms=2000.0)
     honest = sim.routers["d"].on_neighbor_interest
 
     def stuck_late(sender, interest, now):
@@ -672,14 +676,24 @@ def test_audit_error_lists_fifo_and_heap_deliveries_in_order():
         return honest(sender, interest, now)
 
     sim.routers["d"].on_neighbor_interest = stuck_late
+    heap_waits = []
+    push = heapq.heappush
+
+    def spy_push(heap, item):
+        heap_waits.append(item[3])
+        push(heap, item)
+
+    monkeypatch.setattr(heapq, "heappush", spy_push)
     with pytest.raises(AuditError) as ei:
         sim.run()
     assert ei.value.recent == [
         "t=25.0 b RX INT name=/p/0 h=4 dart=1 peer=a",
         "t=50.0 c RX INT name=/p/0 h=3 dart=1 peer=b",
+        "t=85.0 e RX INT name=/p/1 h=1 dart=1 peer=d",
         "t=90.0 d RX INT name=/p/0 h=2 dart=1 peer=c",
-        "t=115.0 e RX INT name=/p/0 h=1 dart=1 peer=d",
-        "t=140.0 d RX DATA name=/p/0 h=- dart=1 peer=e",
+        "t=110.0 d RX DATA name=/p/1 h=- dart=1 peer=e",
+        "t=115.0 e RX INT name=/p/0 h=1 dart=2 peer=d",
+        "t=140.0 d RX DATA name=/p/0 h=- dart=2 peer=e",
         "t=180.0 c RX DATA name=/p/0 h=- dart=1 peer=d",
         "t=205.0 b RX DATA name=/p/0 h=- dart=1 peer=c",
         "t=230.0 a RX DATA name=/p/0 h=- dart=1 peer=b",
@@ -687,6 +701,12 @@ def test_audit_error_lists_fifo_and_heap_deliveries_in_order():
         "t=350.0 c RX INT name=/p/1 h=3 dart=1 peer=b",
         "t=390.0 d RX INT name=/p/1 h=2 dart=1 peer=c",
     ]
+    # the ring holds the delivered entries themselves, so the one that
+    # waited in the heap is found by identity
+    waited = {id(entry) for entry in heap_waits}
+    from_heap = [line for entry, line in zip(sim.recent, ei.value.recent)
+                 if id(entry) in waited]
+    assert from_heap == ["t=85.0 e RX INT name=/p/1 h=1 dart=1 peer=d"]
 
 
 def test_audit_error_survives_a_pickle_round_trip():
@@ -926,20 +946,27 @@ def _assert_open_records_in_due_order(records, max_tries):
        nodes=st.integers(2, 7), topology_seed=st.integers(0, 20),
        seed=st.integers(0, 1000), rate=st.floats(5.0, 80.0),
        retry_timeout_ms=st.floats(5.0, 60.0), max_tries=st.integers(1, 3),
-       lifetime_ms=st.floats(10.0, 400.0), capacity=st.sampled_from([None, 2]))
+       lifetime_ms=st.floats(10.0, 400.0), capacity=st.sampled_from([None, 2]),
+       link_delays=st.lists(st.sampled_from([10.0, 20.0, 30.0]), min_size=1, max_size=8))
 def test_requests_are_conserved_and_open_records_stay_in_due_order(
         scheme, caching, nodes, topology_seed, seed, rate, retry_timeout_ms, max_tries,
-        lifetime_ms, capacity):
-    # Retry timeouts of at most three 20 ms link delays, so requests ride,
+        lifetime_ms, capacity, link_delays):
+    # Retry timeouts of at most six 10 ms link delays, so requests ride,
     # retry and are abandoned; names under /q have no route and are nacked.
+    # Links take their delays in turn from link_delays: mixed delays make
+    # due times tie and sends fall due out of the order they were made in.
     topo = generate_topology(nodes, 30.0, 14.0, 20.0, seed=topology_seed)
-    topo = topo.with_anchors({P: (topo.routers[0],)})
+    topo = Topology(topo.routers, {link: link_delays[i % len(link_delays)]
+                                   for i, link in enumerate(topo.links)},
+                    {P: (topo.routers[0],)})
     names = catalog(12) + [Name.parse(f"/q/{i}") for i in range(3)]
     spec = WorkloadSpec(0.8, len(names), rate, 1.0, seed=seed)
+    trace = io.StringIO()
     sim = _Simulation(World.build(topo, compute_fibs(topo), names), Scheme(scheme),
                       CachingMode(caching), workload=spec, retry_timeout_ms=retry_timeout_ms,
                       max_tries=max_tries, dart_ttl_ms=lifetime_ms, pit_lifetime_ms=lifetime_ms,
-                      sweep_interval_ms=50.0, sample_interval_ms=20.0, store_capacity=capacity)
+                      sweep_interval_ms=50.0, sample_interval_ms=20.0, store_capacity=capacity,
+                      trace=trace)
     sample, seen = sim._sample, []
 
     def checked_sample(now):
@@ -956,6 +983,9 @@ def test_requests_are_conserved_and_open_records_stay_in_due_order(
     _assert_open_records_in_due_order(records, max_tries)
     still_open = sum(len(r) - 3 for r in records)
     assert rep.requests == rep.delivered + rep.nacked + rep.abandoned + still_open
+    # events are dispatched in time order, whichever queue each waited in
+    times = [float(t) for t in re.findall(r"^t=(\S+) ", trace.getvalue(), re.M)]
+    assert times and all(a <= b for a, b in zip(times, times[1:]))
 
 
 @pytest.mark.parametrize("audit_fails", [False, True])

@@ -3,7 +3,6 @@ import json
 import pickle
 from collections import Counter
 from dataclasses import fields, replace
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -388,7 +387,6 @@ def test_cells_leave_the_shared_world_as_it_was_built(fresh_world):
         assert world.owned == fresh.owned
         assert world.anchored == fresh.anchored
         assert world.delays == fresh.delays
-        assert world.shared_delay == fresh.shared_delay
         # every anchor's names are the catalog's under its prefixes, in
         # catalog order, and refuse a write by type
         assert world.owned

@@ -78,6 +78,10 @@ def test_topology_validation():
         Topology(("a", "b", "a"), {("a", "b"): 1.0})
     with pytest.raises(TopologyError, match=r"^link endpoint unknown: \('a', 'c'\)$"):
         Topology(("a", "b"), {("a", "b"): 1.0, ("a", "c"): 1.0})
+    for bad in (math.nan, math.inf):
+        with pytest.raises(TopologyError,
+                           match=rf"^delay on \('a', 'b'\) must be > 0 and finite, got {bad}$"):
+            Topology(("a", "b"), {("a", "b"): bad})
     with pytest.raises(TopologyError, match="^prefix /p has no anchor$"):
         Topology(("a", "b"), {("a", "b"): 1.0}, {Prefix.parse("/p"): ()})
     t = Topology(("a", "b"), {("a", "b"): 2.5})
