@@ -38,10 +38,11 @@ from .model import (
     Name,
     ON_PATH,
     Prefix,
+    check_stamp,
 )
 from .routing import Fib, FibTuple
 
-# builds a DataPacket in C (see model._Record): _new(DataPacket, (name, dart))
+# builds a wire record in C (see model._Record): _new(DataPacket, (name, dart))
 _new = tuple.__new__
 
 
@@ -135,6 +136,8 @@ class DartRouter:
         return d
 
     def _add_entry(self, entry: DartEntry) -> DartEntry:
+        # every Interest sent on the leg carries its stamp: check it once, here
+        check_stamp(entry.hop_count, entry.successor_dart)
         self.by_succ[entry.successor_dart] = entry
         self.legs[entry.key] = entry
         return entry
@@ -181,10 +184,10 @@ class DartRouter:
             # again, on a fresh leg if need be.
         # most routers anchor nothing and skip the test
         if self.store.anchored and self.store.anchors(name):
-            return [Emission((consumer, Nack(name, NackCode.NO_CONTENT)))]
+            return [Emission((consumer, _new(Nack, (name, NackCode.NO_CONTENT, None))))]
         tuples = self.fib.lookup(name)
         if not tuples:
-            return [Emission((consumer, Nack(name, NackCode.NO_ROUTE)))]
+            return [Emission((consumer, _new(Nack, (name, NackCode.NO_ROUTE, None))))]
         t = tuples[0]  # origin trusts its best route; refusal happens downstream
         key = (t.anchor, t.next_hop)
         leg = self.legs.get(key)
@@ -195,7 +198,8 @@ class DartRouter:
         leg.last_used = now
         if waiting is None:
             self.rct[name] = (consumer,)
-        return [Emission((leg.successor, Interest(name, leg.hop_count, leg.successor_dart)))]
+        return [Emission((leg.successor,
+                          _new(Interest, (name, leg.hop_count, leg.successor_dart))))]
 
     def on_neighbor_interest(self, sender: str, interest: Interest, now: float) -> List[Emission]:
         self.interests_received += 1
@@ -203,24 +207,25 @@ class DartRouter:
         if self.store.get(name) is not None:
             return [Emission((sender, _new(DataPacket, (name, interest.dart))))]
         if self.store.anchored and self.store.anchors(name):
-            return [Emission((sender, Nack(name, NackCode.NO_CONTENT, interest.dart)))]
+            return [Emission((sender, _new(Nack, (name, NackCode.NO_CONTENT, interest.dart))))]
         key = (sender, interest.dart)
         leg = self.legs.get(key)
         if leg is not None:
             # route already vetted when the entry was created
             leg.last_used = now
-            return [Emission((leg.successor, Interest(name, leg.hop_count, leg.successor_dart)))]
+            return [Emission((leg.successor,
+                              _new(Interest, (name, leg.hop_count, leg.successor_dart))))]
         tuples = self.fib.lookup(name)
         if not tuples:
-            return [Emission((sender, Nack(name, NackCode.NO_ROUTE, interest.dart)))]
+            return [Emission((sender, _new(Nack, (name, NackCode.NO_ROUTE, interest.dart))))]
         t = self.dear_check(tuples, interest.hop_count, exclude=sender)
         if t is None:
             self.loop_nacks += 1
-            return [Emission((sender, Nack(name, NackCode.LOOP, interest.dart)))]
+            return [Emission((sender, _new(Nack, (name, NackCode.LOOP, interest.dart))))]
         sd = self.fresh_dart()
         self._add_entry(DartEntry(key, sender, interest.dart,
                                   t.next_hop, sd, t.distance, now))
-        return [Emission((t.next_hop, Interest(name, t.distance, sd)))]
+        return [Emission((t.next_hop, _new(Interest, (name, t.distance, sd))))]
 
     def on_data(self, sender: str, data: DataPacket, now: float) -> Optional[List[Emission]]:
         """None means the Data was dropped as an orphan: no live leg with its
@@ -254,8 +259,9 @@ class DartRouter:
         leg.last_used = now
         if leg.predecessor != self.router_id:
             return [Emission((leg.predecessor,
-                              Nack(nack.name, nack.code, leg.predecessor_dart)))]
+                              _new(Nack, (nack.name, nack.code, leg.predecessor_dart))))]
         waiting = self.rct.pop(nack.name, None)
         if waiting is None:
             return []
-        return [Emission((c, Nack(nack.name, nack.code))) for c in sorted(waiting)]
+        out = _new(Nack, (nack.name, nack.code, None))
+        return [Emission((c, out)) for c in sorted(waiting)]

@@ -102,6 +102,15 @@ Dart = int
 MAX_DART: Dart = 2**32 - 1
 
 
+def check_stamp(hop_count: int, dart: Dart) -> None:
+    """Refuse a DART Interest's stamp: a hop budget below 1 or a route token
+    outside ``1..MAX_DART``.  ``Interest.__new__`` and each new leg check it."""
+    if hop_count < 1:
+        raise ValueError("hop_count must be >= 1")
+    if not (1 <= dart <= MAX_DART):
+        raise ValueError("dart out of range")
+
+
 class NackCode(Enum):
     NO_CONTENT = "no-content"  # anchor has no such object
     NO_ROUTE = "no-route"      # no forwarding entry at all
@@ -131,10 +140,11 @@ class _Record(tuple):
     record of its own type (a ``DataPacket`` never equals an
     ``NdnInterest`` with the same fields), and equal records hash equal.
     The namedtuple helpers ``_make`` and ``_replace`` skip ``__new__`` and
-    so ``Interest``'s checks; the program calls neither.  The per-packet
-    paths build a ``DataPacket`` or ``NdnInterest``, which check nothing, as
-    ``tuple.__new__(cls, fields)``: in C, where the namedtuple's
-    ``__new__`` is Python code and takes about 130 ns more a packet."""
+    so ``Interest``'s checks; the program calls neither.  The routers build
+    every record as ``tuple.__new__(cls, fields)``: in C, where the
+    namedtuple's ``__new__`` is Python code and takes about 130 ns more a
+    packet.  Only ``Interest`` has rules, and a DART router checks them
+    with ``check_stamp`` once per leg, when it makes the leg."""
 
     __slots__ = ()
 
@@ -154,10 +164,7 @@ class Interest(_Record, namedtuple("Interest", "name hop_count dart")):
     __slots__ = ()
 
     def __new__(cls, name: Name, hop_count: int, dart: Dart):
-        if hop_count < 1:
-            raise ValueError("hop_count must be >= 1")
-        if not (1 <= dart <= MAX_DART):
-            raise ValueError("dart out of range")
+        check_stamp(hop_count, dart)
         return tuple.__new__(cls, (name, hop_count, dart))
 
 

@@ -35,7 +35,7 @@ from .model import (
 )
 from .routing import Fib
 
-# builds a DataPacket or NdnInterest in C (see model._Record)
+# builds a wire record in C (see model._Record)
 _new = tuple.__new__
 
 
@@ -101,7 +101,7 @@ class NdnRouter:
         if nonce in self.seen_nonces:
             # the same interest came around again: classic duplicate kill
             self.loop_nacks += 1
-            return [Emission((sender, Nack(name, NackCode.LOOP)))]
+            return [Emission((sender, _new(Nack, (name, NackCode.LOOP, None))))]
         self.seen_nonces[nonce] = None
         entry = self.pit.get(name)
         if entry is not None:
@@ -110,7 +110,7 @@ class NdnRouter:
             return []
         # most routers anchor nothing and skip the test
         if self.store.anchored and self.store.anchors(name):
-            return [Emission((sender, Nack(name, NackCode.NO_CONTENT)))]
+            return [Emission((sender, _new(Nack, (name, NackCode.NO_CONTENT, None))))]
         tuples = self.fib.lookup(name)
         nxt = None
         if tuples:
@@ -119,7 +119,7 @@ class NdnRouter:
                     nxt = t
                     break
         if nxt is None:
-            return [Emission((sender, Nack(name, NackCode.NO_ROUTE)))]
+            return [Emission((sender, _new(Nack, (name, NackCode.NO_ROUTE, None))))]
         self.pit[name] = (now + self.pit_lifetime_ms, sender)
         # the Interest is immutable and travels on as it came
         return [Emission((nxt.next_hop, interest))]

@@ -14,7 +14,7 @@ from dartlab.model import (
     Name,
     Prefix,
 )
-from dartlab.routing import Fib, Prefix, Topology, compute_fibs
+from dartlab.routing import Fib, Prefix, Topology, compute_fibs, inject_stale_distances
 
 P = Prefix.parse("/p")
 OBJ = Name.parse("/p/1")
@@ -185,6 +185,20 @@ def test_a_new_leg_looks_up_the_fib_once():
     b.fib.lookup = lambda name: lookups.append(name) or lookup(name)
     b.on_neighbor_interest("a", Interest(OBJ, 3, 7), now=0.0)
     assert lookups == [OBJ] and b.table_size() == 1
+
+
+def test_a_refused_stamp_leaves_no_half_made_leg():
+    # a stale distance of 0 would stamp hop_count 0: the leg is refused
+    # before it, or the origin's RCT entry, enters a table
+    _, fibs = line_fibs()
+    stale = inject_stale_distances(fibs, [("a", P, "b", 0), ("b", P, "c", 0)])
+    a, b = make("a", stale), make("b", stale)
+    with pytest.raises(ValueError, match="hop_count must be >= 1"):
+        a.on_local_interest("c1", OBJ, now=0.0)
+    with pytest.raises(ValueError, match="hop_count must be >= 1"):
+        b.on_neighbor_interest("a", Interest(OBJ, 3, 7), now=0.0)
+    for r in (a, b):
+        assert r.legs == {} and r.by_succ == {} and r.rct == {}
 
 
 def test_consumer_ask_is_the_bare_name():

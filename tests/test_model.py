@@ -14,6 +14,7 @@ from dartlab.model import (
     NameError_,
     NdnInterest,
     Prefix,
+    check_stamp,
 )
 
 N = Name.parse("/a/b")
@@ -92,11 +93,15 @@ def test_interest_invariants():
     (1, 0, False), (1, -1, False), (1, MAX_DART + 1, False),
 ])
 def test_interest_checks_its_ranges_when_built_and_unpickled(hop_count, dart, ok):
-    # unpickling runs __new__, so a record built around the checks is caught
+    # unpickling runs __new__, so a record built around the checks is caught;
+    # check_stamp is the one copy of the rules, which routers call per leg
     pickled = pickle.dumps(tuple.__new__(Interest, (N, hop_count, dart)))
     if ok:
+        assert check_stamp(hop_count, dart) is None
         assert Interest(N, hop_count, dart) == pickle.loads(pickled)
     else:
+        with pytest.raises(ValueError):
+            check_stamp(hop_count, dart)
         with pytest.raises(ValueError):
             Interest(N, hop_count, dart)
         with pytest.raises(ValueError):
@@ -151,10 +156,13 @@ def test_messages_pickle_through_their_constructor(msg, text):
         assert repr(back) == text
 
 
-@pytest.mark.parametrize("cls, fields", [(DataPacket, (N, 5)), (DataPacket, (N, None)),
-                                         (NdnInterest, (N, 2**64 - 1))])
+@pytest.mark.parametrize("cls, fields", [
+    (DataPacket, (N, 5)), (DataPacket, (N, None)), (NdnInterest, (N, 2**64 - 1)),
+    (Interest, (N, 4, 99)), (Interest, (N, 1, MAX_DART)),
+    (Nack, (N, NackCode.LOOP, 7)), (Nack, (N, NackCode.NO_ROUTE, None)),
+])
 def test_records_built_in_c_match_the_constructor(cls, fields):
-    # the routers build these two with tuple.__new__ on the per-packet paths
+    # the routers build every record with tuple.__new__
     fast, made = tuple.__new__(cls, fields), cls(*fields)
     assert type(fast) is cls and fast == made and not fast != made
     assert hash(fast) == hash(made) and len({fast, made}) == 1
