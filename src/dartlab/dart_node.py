@@ -42,7 +42,7 @@ from .model import (
 )
 from .routing import Fib, FibTuple
 
-# builds a wire record in C (see model._Record): _new(DataPacket, (name, dart))
+# builds a wire record in C (see model.py, above Interest): _new(DataPacket, (name, dart))
 _new = tuple.__new__
 
 

@@ -50,10 +50,11 @@ class Scheme(Enum):
     NDN = "ndn"
 
 
-# A sample or sweep period may fire at most this many times in a run, and a
-# consumer's stream may expect at most this many requests: a shorter period
-# or gap hangs the run once now + period == now, and long before that takes
-# more time than any run here should.
+# A sample or sweep period may fire at most this many times in a run, a
+# request may be sent at most this many times, and a consumer's stream may
+# expect at most this many requests.  A shorter period or gap, or a retry
+# timer too short to move the clock, hangs the run once now + period == now,
+# and long before that takes more time than any run here should.
 MAX_TIMER_FIRINGS = 10_000_000
 
 # event kinds, cheapest-to-compare first in rough frequency order
@@ -335,6 +336,9 @@ class _Simulation:
         # an infinite retry timer would fire after the run's end
         if not 0 < retry_timeout_ms < math.inf:
             raise ValueError(f"retry_timeout_ms must be > 0 and finite, got {retry_timeout_ms}")
+        if not 1 <= max_tries <= MAX_TIMER_FIRINGS:
+            raise ValueError(f"max_tries must be >= 1 and <= {MAX_TIMER_FIRINGS}, "
+                             f"got {max_tries}")
         # a cell that takes no sample would report every table size as 0,
         # and a negative warm-up samples before the run starts
         if not 0 <= warmup_fraction < 1:

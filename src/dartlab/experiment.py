@@ -90,7 +90,10 @@ class ExperimentConfig:
         need(all(r * self.duration_s <= MAX_TIMER_FIRINGS for r in self.rates), "rates",
              f"<= {MAX_TIMER_FIRINGS} / duration_s")
         need(self.catalog >= 1, "catalog", ">= 1")
-        need(self.max_tries >= 1, "max_tries", ">= 1")
+        # the engine's cap on a request's sends: a retry too short to move the
+        # clock re-arms at the same instant, and only max_tries ends it
+        need(1 <= self.max_tries <= MAX_TIMER_FIRINGS, "max_tries",
+             f">= 1 and <= {MAX_TIMER_FIRINGS}")
         need(math.isfinite(self.zipf_alpha) and self.zipf_alpha >= 0, "zipf_alpha",
              "finite and >= 0")
         need(0 <= self.warmup_frac < 1, "warmup_frac", "in [0, 1)")
@@ -136,6 +139,7 @@ def _parse_value(default, value: str):
 
 
 def parse_config(text: str) -> ExperimentConfig:
+    text = text.removeprefix("\ufeff")  # a byte-order mark some editors save
     base = ExperimentConfig()
     keys = {f.name for f in fields(base)}
     values, set_on = {}, {}
@@ -279,8 +283,9 @@ def _read_cell(path: Path) -> Dict:
     interests = 0
     delay_mean = None
     try:
-        # decoded whole, so an error gives the byte's offset in the file
-        text = path.read_bytes().decode("utf-8")
+        # decoded whole, so an error gives the byte's offset in the file,
+        # byte-order mark included ("utf-8-sig" would count after it)
+        text = path.read_bytes().decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as e:
         raise ConfigError(f"{path.name}: {e}") from None
     reader = csv.DictReader(io.StringIO(text, newline=""))
@@ -320,10 +325,11 @@ def compare_dir(dir_path):
     counts, delays, and the DART-stays-flat check across rates.
 
     Returns (lines, summary).  Missing counterpart cells are reported in
-    summary["errors"] — never silently dropped.
+    summary["errors"], and two files that name one cell are refused —
+    never silently dropped.
     """
     d = Path(dir_path)
-    cells = {}
+    cells, files = {}, {}
     for p in sorted(d.glob("metrics_*.csv")):
         stem = p.stem[len("metrics_"):]
         try:
@@ -332,7 +338,11 @@ def compare_dir(dir_path):
             seed = int(s_part.lstrip("s"))
         except ValueError:
             raise ConfigError(f"unrecognised metrics file name: {p.name}")
-        cells[(scheme, caching, rate, seed)] = _read_cell(p)
+        key = (scheme, caching, rate, seed)
+        if key in files:  # e.g. r10 and r10.0: neither may replace the other
+            raise ConfigError(f"{files[key]} and {p.name} name one cell")
+        files[key] = p.name
+        cells[key] = _read_cell(p)
     if not cells:
         raise ConfigError(f"no metrics_*.csv files in {d}")
 

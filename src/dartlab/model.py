@@ -4,7 +4,7 @@ Everything here is scheme-agnostic.  Router behaviour lives in dart_node /
 ndn_node; this module only defines what travels on links and what content
 looks like at rest.  Names, prefixes, emissions and wire messages are all
 immutable tuple subclasses, so their storage, hashing and comparison run in
-C; the wire messages add field names and type-strict equality (``_Record``).
+C; the wire messages add field names.
 """
 
 from __future__ import annotations
@@ -128,36 +128,15 @@ class CachingMode(Enum):
 ON_PATH, EDGE = CachingMode.ON_PATH, CachingMode.EDGE
 
 
-class _Record(tuple):
-    """Type-strict equality for the wire messages.
+# The wire messages: each subclasses a ``namedtuple`` of its fields, so it is
+# a tuple built in C that compares and hashes as its fields, shows the
+# dataclass-style ``repr`` that ``AuditError`` embeds and pickles through its
+# own ``__new__``.  The routers build every record as
+# ``tuple.__new__(cls, fields)``, in C, which skips ``Interest``'s checks, so
+# ``DartRouter._add_entry`` checks each leg's stamp.  ``_make`` and
+# ``_replace`` skip them too; nothing calls them.
 
-    Each message subclasses this and a ``namedtuple`` of its fields, so it
-    is a tuple built in C: immutable, compact, its fields read by C
-    descriptors (about half the cost of ``property(itemgetter(i))``),
-    pickled through its own ``__new__`` (``__getnewargs__``), and shown
-    with the dataclass-style ``repr`` that ``AuditError`` embeds.  A plain
-    tuple equals any tuple with the same items; a record equals only a
-    record of its own type (a ``DataPacket`` never equals an
-    ``NdnInterest`` with the same fields), and equal records hash equal.
-    The namedtuple helpers ``_make`` and ``_replace`` skip ``__new__`` and
-    so ``Interest``'s checks; the program calls neither.  The routers build
-    every record as ``tuple.__new__(cls, fields)``: in C, where the
-    namedtuple's ``__new__`` is Python code and takes about 130 ns more a
-    packet.  Only ``Interest`` has rules, and a DART router checks them
-    with ``check_stamp`` once per leg, when it makes the leg."""
-
-    __slots__ = ()
-
-    def __eq__(self, other):
-        return type(other) is type(self) and tuple.__eq__(self, other)
-
-    def __ne__(self, other):
-        return type(other) is not type(self) or tuple.__ne__(self, other)
-
-    __hash__ = tuple.__hash__
-
-
-class Interest(_Record, namedtuple("Interest", "name hop_count dart")):
+class Interest(namedtuple("Interest", "name hop_count dart")):
     """Router-to-router DART interest: a hop budget and a route token.  A
     consumer's ask reaches its router as a bare ``Name``."""
 
@@ -168,15 +147,15 @@ class Interest(_Record, namedtuple("Interest", "name hop_count dart")):
         return tuple.__new__(cls, (name, hop_count, dart))
 
 
-class DataPacket(_Record, namedtuple("DataPacket", "name dart", defaults=(None,))):
+class DataPacket(namedtuple("DataPacket", "name dart", defaults=(None,))):
     __slots__ = ()
 
 
-class Nack(_Record, namedtuple("Nack", "name code dart", defaults=(None,))):
+class Nack(namedtuple("Nack", "name code dart", defaults=(None,))):
     __slots__ = ()
 
 
-class NdnInterest(_Record, namedtuple("NdnInterest", "name nonce")):
+class NdnInterest(namedtuple("NdnInterest", "name nonce")):
     """Baseline-scheme interest: no hop budget, a random nonce instead."""
 
     __slots__ = ()

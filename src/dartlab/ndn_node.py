@@ -35,7 +35,7 @@ from .model import (
 )
 from .routing import Fib
 
-# builds a wire record in C (see model._Record)
+# builds a wire record in C (see model.py, above Interest)
 _new = tuple.__new__
 
 

@@ -13,6 +13,7 @@ tolerance to widen.
 """
 
 import csv
+import hashlib
 import json
 import os
 import random
@@ -38,24 +39,47 @@ LOW, TOP = RATES[0], RATES[-1]
 
 
 @pytest.fixture(scope="module")
-def grid(tmp_path_factory):
-    """``compare_dir``'s summary of the default grid, and each cell's ``*``
-    totals by CSV name.  The cells run in a pool with one worker per CPU; a
-    CSV does not depend on which worker wrote it
-    (test_experiment_reruns_are_byte_identical)."""
+def grid_run(tmp_path_factory):
+    """The default grid's output directory and ``compare_dir``'s result.
+    The cells run in a pool with one worker per CPU; a CSV does not depend
+    on which worker wrote it (test_experiment_reruns_are_byte_identical)."""
     out = tmp_path_factory.mktemp("grid")
     build_world.cache_clear()
     try:
         run_experiment(replace(ExperimentConfig(), workers=os.cpu_count()), out)
     finally:
         build_world.cache_clear()
-    _, summary = compare_dir(out)
+    return out, compare_dir(out)
+
+
+@pytest.fixture(scope="module")
+def grid(grid_run):
+    """``compare_dir``'s summary of the default grid, and each cell's ``*``
+    totals by CSV name."""
+    out, (_, summary) = grid_run
     totals = {}
     for path in sorted(out.glob("metrics_*.csv")):
         with open(path, newline="") as fh:
             totals[path.name] = {row["metric"]: float(row["value"])
                                  for row in csv.DictReader(fh) if row["router"] == "*"}
     return summary, totals
+
+
+# SHA-256 of the default grid's metrics CSVs (sorted, each as its name, its
+# length and its bytes) followed by compare's lines.  manifest.json is left
+# out: it records the worker count, os.cpu_count().
+GRID_DIGEST = "4be0d89db9166db8fcea733ff8e1b861c4c8cb5c7305d131c91340aa8f88000c"
+
+
+def test_default_grid_bytes_are_pinned(grid_run):
+    out, (lines, _) = grid_run
+    h = hashlib.sha256()
+    for path in sorted(out.glob("metrics_*.csv")):
+        data = path.read_bytes()
+        h.update(f"{path.name} {len(data)}\n".encode())
+        h.update(data)
+    h.update("\n".join(lines).encode())
+    assert len(lines) > 1 and h.hexdigest() == GRID_DIGEST
 
 
 def _group(grid, caching, rate):

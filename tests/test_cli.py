@@ -124,6 +124,60 @@ def test_compare_refuses_a_csv_that_is_not_utf8(tmp_path, capsys):
     assert not (out / "comparison.csv").exists()
 
 
+def test_run_reads_a_config_with_a_byte_order_mark(tmp_path, capsys):
+    # one leading U+FEFF is dropped; it was read as part of the first key
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_text(CFG, encoding="utf-8")
+    marked.write_text("\ufeff" + CFG, encoding="utf-8")
+    for cfg in (plain, marked):
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path / cfg.stem)]) == 0
+    csvs = sorted(p.name for p in (tmp_path / "plain").glob("metrics_*.csv"))
+    assert len(csvs) == 2
+    assert sorted(p.name for p in (tmp_path / "marked").glob("metrics_*.csv")) == csvs
+    for name in csvs:
+        assert (tmp_path / "marked" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+    # a later bad byte's position still counts the mark's three bytes
+    marked.write_bytes(b"\xef\xbb\xbf" + CFG.encode() + b"# caf\xff\n")
+    capsys.readouterr()
+    assert cli.main(["run", str(marked), "--out", str(tmp_path / "bad")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: {marked}: 'utf-8' codec can't decode byte "
+        f"0xff in position {3 + len(CFG) + 5}: invalid start byte"]
+
+
+def test_compare_reads_a_csv_with_a_byte_order_mark(tmp_path, capsys):
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    assert cli.main(["run", write_cfg(tmp_path), "--out", str(plain)]) == 0
+    marked.mkdir()
+    for path in plain.glob("metrics_*.csv"):
+        (marked / path.name).write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    capsys.readouterr()
+    printed = []
+    for out in (plain, marked):
+        assert cli.main(["compare", str(out)]) == 0
+        printed.append([l for l in capsys.readouterr().out.splitlines()
+                        if not l.startswith("wrote ")])
+    assert printed[0] == printed[1] and len(printed[0]) > 1
+    assert (marked / "comparison.csv").read_bytes() == (plain / "comparison.csv").read_bytes()
+
+
+def test_compare_refuses_two_files_that_name_one_cell(tmp_path, capsys):
+    # r20 and r20.0 parse to one rate: the file sorting last replaced the other
+    out = tmp_path / "results"
+    assert cli.main(["run", write_cfg(tmp_path), "--out", str(out)]) == 0
+    state = "dart,none,20.0,*,table_size_router_mean,"
+    rows = (out / "metrics_dart_none_r20_s1.csv").read_text().splitlines()
+    kept = [row for row in rows if not row.startswith(state)]
+    assert len(kept) == len(rows) - 1
+    (out / "metrics_dart_none_r20.0_s1.csv").write_text("\n".join(kept + [state + "999.0"]) + "\n")
+    capsys.readouterr()
+    assert cli.main(["compare", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: metrics_dart_none_r20.0_s1.csv and metrics_dart_none_r20_s1.csv "
+        "name one cell"]
+    assert not (out / "comparison.csv").exists()
+
+
 def _run_cli(tmp_path, line):
     # the line takes the place of CFG's line for its key: a key set twice is refused
     key = line.partition("=")[0]

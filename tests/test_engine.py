@@ -591,8 +591,12 @@ def test_a_consumer_on_an_unknown_router_is_rejected():
      "catalog smaller than workload.catalog_size"),
     (dict(consumers={"c.a": "a", "b": "b"}), "consumer id collides with a router id: b"),
     (dict(requests=[(0.0, "c.x", Name.parse("/p/0"))]), "unknown consumer in script: c.x"),
+    # a retry timer too short to move the clock re-armed at the same
+    # instant until max_tries ran out, so a huge max_tries never ended
+    (dict(max_tries=MAX_TIMER_FIRINGS + 1),
+     f"max_tries must be >= 1 and <= {MAX_TIMER_FIRINGS}, got {MAX_TIMER_FIRINGS + 1}"),
 ], ids=["workload-and-script", "short-catalog", "consumer-named-as-a-router",
-        "unknown-scripted-consumer"])
+        "unknown-scripted-consumer", "max-tries-past-the-timer-cap"])
 def test_inconsistent_traffic_is_rejected(kw, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         scripted_sim(**kw)

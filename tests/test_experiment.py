@@ -60,9 +60,10 @@ def test_parse_config_defaults_and_overrides():
     assert parse_config("").nodes == 50  # all defaults
     # the first sample may land exactly on the end of the run
     assert parse_config("duration_s = 2\nsample_interval_ms = 1800").sample_interval_ms == 1800
-    # a stream may expect as many requests as a timer may fire, and every
-    # router may anchor a prefix
+    # a stream may expect as many requests as a timer may fire, a request
+    # may be sent as many times, and every router may anchor a prefix
     assert parse_config("duration_s = 2\nrates = 5000000").rates == (5e6,)
+    assert parse_config("max_tries = 10000000").max_tries == 10_000_000
     assert parse_config("nodes = 4\nproducers = 4").producers == 4
 
 
@@ -100,6 +101,7 @@ def test_parse_config_defaults_and_overrides():
     ("retry_timeout_s = inf", "retry_timeout_s must be > 0 and finite"),
     ("catalog = 0", "catalog must be >= 1"),
     ("max_tries = 0", "max_tries must be >= 1"),
+    ("max_tries = 10000001", "^max_tries must be >= 1 and <= 10000000, got 10000001$"),
     ("zipf_alpha = nan", "zipf_alpha must be finite"),
     ("zipf_alpha = inf", "zipf_alpha must be finite"),
     ("zipf_alpha = -0.5", "zipf_alpha must be finite and >= 0"),

@@ -134,18 +134,15 @@ def test_messages_are_immutable(msg, text):
 
 
 @pytest.mark.parametrize("msg, text", MESSAGES)
-def test_message_equality_is_type_strict(msg, text):
+def test_messages_compare_and_hash_as_their_fields(msg, text):
     twin = type(msg)(*msg)
     assert twin == msg and not twin != msg and hash(twin) == hash(msg)
     assert len({msg, twin}) == 1
-    for other_type in {Interest, DataPacket, Nack, NdnInterest} - {type(msg)}:
-        # the same fields under another message type
-        other = tuple.__new__(other_type, msg)
-        assert other != msg and not other == msg
-        assert msg != other and not msg == other
-    assert msg != tuple(msg) and tuple(msg) != msg
-    assert DataPacket(N, 5) != NdnInterest(N, 5) and not DataPacket(N, 5) == NdnInterest(N, 5)
-    assert DataPacket(N, 5) != DataPacket(N, 6)
+    # one rule for every tuple in the model: a record is the tuple of its fields
+    assert msg == tuple(msg) and tuple(msg) == msg and hash(msg) == hash(tuple(msg))
+    for i in range(len(msg)):
+        changed = tuple.__new__(type(msg), msg[:i] + ("x",) + msg[i + 1:])
+        assert changed != msg and not changed == msg
 
 
 @pytest.mark.parametrize("msg, text", MESSAGES)
@@ -167,9 +164,6 @@ def test_records_built_in_c_match_the_constructor(cls, fields):
     assert type(fast) is cls and fast == made and not fast != made
     assert hash(fast) == hash(made) and len({fast, made}) == 1
     assert repr(fast) == repr(made)
-    for other_type in {Interest, DataPacket, Nack, NdnInterest} - {cls}:
-        other = tuple.__new__(other_type, fields)
-        assert fast != other and not fast == other and other != fast
     for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
         back = pickle.loads(pickle.dumps(fast, protocol))
         assert type(back) is cls and back == made and tuple(back) == fields
