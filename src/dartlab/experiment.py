@@ -325,8 +325,9 @@ def compare_dir(dir_path):
     counts, delays, and the DART-stays-flat check across rates.
 
     Returns (lines, summary).  Missing counterpart cells are reported in
-    summary["errors"], and two files that name one cell are refused —
-    never silently dropped.
+    summary["errors"]; two files that name one cell, or a file that the
+    directory's ``manifest.json`` does not list, are refused — never
+    silently dropped.
     """
     d = Path(dir_path)
     cells, files = {}, {}
@@ -343,6 +344,15 @@ def compare_dir(dir_path):
             raise ConfigError(f"{files[key]} and {p.name} name one cell")
         files[key] = p.name
         cells[key] = _read_cell(p)
+    manifest = d / "manifest.json"
+    if manifest.exists():  # a rerun rewrites it, but leaves its other cells' CSVs
+        try:
+            listed = set(json.loads(manifest.read_bytes().decode("utf-8"))["cells"])
+        except (OSError, ValueError, LookupError, TypeError) as e:
+            raise ConfigError(f"{manifest.name}: {type(e).__name__}: {e}") from None
+        for name in files.values():
+            if name not in listed:
+                raise ConfigError(f"{name} is not a cell of {manifest.name}")
     if not cells:
         raise ConfigError(f"no metrics_*.csv files in {d}")
 

@@ -20,67 +20,27 @@ class NameError_(ValueError):
     """Malformed name or prefix."""
 
 
-def _checked(cls, components: Iterable[str]) -> tuple:
-    """A ``cls`` tuple of ``components``, each non-empty and free of ``/``."""
-    comps = tuple.__new__(cls, components)
-    for c in comps:
-        if not c:
-            raise NameError_(f"empty {cls.__name__.lower()} component")
-        if "/" in c:
-            raise NameError_(f"component contains separator: {c!r}")
-    return comps
-
-
-class Name(tuple):
-    """Hierarchical content name, e.g. ``/video/cats/seg3``: the tuple of its
-    components.  Components are non-empty strings and must not contain ``/``
-    (the separator).
-
-    Being a tuple gives hashing, equality, ordering and pickling in C.  Two
-    facts keep that safe: a name hashes as the tuple of its components, so
-    table orders (and so output bytes) are those of plain tuple keys; and a
-    name equals a ``Prefix`` or plain tuple with the same components, which
-    no table mixes (FIBs are keyed by prefix; stores, RCT, PIT and open
-    requests by name).
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, components: Iterable[str]):
-        comps = _checked(cls, components)
-        if not comps:
-            raise NameError_("name needs at least one component")
-        return comps
-
-    @classmethod
-    def parse(cls, text: str) -> "Name":
-        if not text.startswith("/"):
-            raise NameError_(f"name must start with '/': {text!r}")
-        return cls(text[1:].split("/"))
-
-    def __str__(self):
-        return "/" + "/".join(self)
-
-    def __repr__(self):
-        return f"Name({str(self)!r})"
-
-
 class Prefix(tuple):
-    """Leading subsequence of name components, as a tuple like ``Name``.
-    May be empty (matches all)."""
+    """Leading run of a name's components, e.g. ``/video``: the tuple of
+    them.  Components are non-empty strings and must not contain ``/`` (the
+    separator).  May be empty (matches every name)."""
 
     __slots__ = ()
 
     def __new__(cls, components: Iterable[str] = ()):
-        return _checked(cls, components)
+        comps = tuple.__new__(cls, components)
+        for c in comps:
+            if not c:
+                raise NameError_(f"empty {cls.__name__.lower()} component")
+            if "/" in c:
+                raise NameError_(f"component contains separator: {c!r}")
+        return comps
 
     @classmethod
-    def parse(cls, text: str) -> "Prefix":
+    def parse(cls, text: str):
         if not text.startswith("/"):
-            raise NameError_(f"prefix must start with '/': {text!r}")
-        if text == "/":
-            return cls(())
-        return cls(text[1:].split("/"))
+            raise NameError_(f"{cls.__name__.lower()} must start with '/': {text!r}")
+        return cls(text[1:].split("/") if text != "/" else ())
 
     @property
     def components(self) -> tuple:
@@ -94,7 +54,28 @@ class Prefix(tuple):
         return "/" + "/".join(self)
 
     def __repr__(self):
-        return f"Prefix({str(self)!r})"
+        return f"{type(self).__name__}({str(self)!r})"
+
+
+class Name(Prefix):
+    """Hierarchical content name, e.g. ``/video/cats/seg3``: a prefix with at
+    least one component, so longest-prefix match can hit a whole name.
+
+    Being a tuple gives hashing, equality, ordering and pickling in C.  Two
+    facts keep that safe: a name hashes as the tuple of its components, so
+    table orders (and so output bytes) are those of plain tuple keys; and a
+    name equals a ``Prefix`` or plain tuple with the same components, which
+    no table mixes (FIBs are keyed by prefix; stores, RCT, PIT and open
+    requests by name).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, components: Iterable[str]):
+        comps = Prefix.__new__(cls, components)
+        if not comps:
+            raise NameError_("name needs at least one component")
+        return comps
 
 
 # Route tokens are plain ints drawn from a 32-bit space; 0 is never issued.
@@ -163,13 +144,13 @@ class NdnInterest(namedtuple("NdnInterest", "name nonce")):
 
 class Emission(tuple):
     """A message a router wants sent to a neighbour (or local consumer),
-    built as ``Emission((dst, message))``.  A plain tuple subclass with no
-    Python-level ``__new__``, so building one on the hot path runs in C."""
+    built as ``Emission((dst, message))`` and read by unpacking.  A plain
+    tuple subclass with no Python-level ``__new__``, so building one on the
+    hot path runs in C."""
 
     __slots__ = ()
 
-    dst = property(itemgetter(0))
-    message = property(itemgetter(1))
+    message = property(itemgetter(1))  # perfbench/layers.py reads it
 
 
 # Name components are percent-escaped individually so a trace line stays

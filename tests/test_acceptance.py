@@ -23,7 +23,7 @@ import networkx as nx
 import pytest
 
 from dartlab.cli import main as cli_main
-from dartlab.engine import AuditError, World, run, simulate
+from dartlab.engine import AuditError, World, simulate
 from dartlab.experiment import ExperimentConfig, build_world, compare_dir, run_experiment
 from dartlab.model import Name, Prefix
 from dartlab.routing import (Topology, compute_fibs, inject_stale_distances,
@@ -281,15 +281,16 @@ def test_randomized_stale_routing_never_loops():
         topo = _random_topology(rng)
         full, degraded = _snapshot_pair(rng, topo)
         fibs = _blend_tables(rng, topo, full, degraded)
-        catalog = [Name((*p.components, f"o{k}"))
+        catalog = [Name((*p, f"o{k}"))
                    for p in sorted(topo.anchors) for k in range(3)]
         requests = [(rng.uniform(0.0, 500.0),
                      f"c.{rng.choice(sorted(topo.routers))}",
                      rng.choice(catalog))
                     for _ in range(rng.randint(2, 5))]
-        rep = run(topo, fibs, "dart", rng.choice(("none", "edge", "onpath")),
-                  requests=requests, catalog=catalog, audits=True,
-                  duration_ms=3000.0, retry_timeout_ms=5000.0)
+        rep = simulate(World.build(topo, fibs, catalog), "dart",
+                       rng.choice(("none", "edge", "onpath")),
+                       requests=requests, audits=True,
+                       duration_ms=3000.0, retry_timeout_ms=5000.0)
         totals["delivered"] += rep.delivered
         totals["nacked"] += rep.nacked
         totals["loop_nacks"] += rep.loop_nacks
@@ -387,10 +388,10 @@ def test_response_retraces_request_on_all_small_graphs(tmp_path):
                             {PFX: (ids[anchor],)})
             fibs = compute_fibs(topo)
             for consumer in sorted(ids.values()):
-                rep = run(topo, fibs, "dart", "none",
-                          requests=[(0.0, f"c.{consumer}", OBJ)],
-                          catalog=[OBJ], audits=True, trace_path=str(trace),
-                          warmup_fraction=0.0, duration_ms=1000.0)
+                rep = simulate(World.build(topo, fibs, [OBJ]), "dart", "none",
+                               requests=[(0.0, f"c.{consumer}", OBJ)],
+                               audits=True, trace_path=str(trace),
+                               warmup_fraction=0.0, duration_ms=1000.0)
                 assert rep.delivered == 1, (anchor, consumer)
                 paths = request_paths(trace.read_text().splitlines())
                 assert len(paths) == 1

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from dartlab import cli
 from dartlab.dart_node import DartRouter
 from dartlab.engine import AuditError
-from dartlab.model import Emission, Interest
+from dartlab.model import Interest
 
 CFG = """\
 nodes = 2
@@ -178,6 +178,28 @@ def test_compare_refuses_two_files_that_name_one_cell(tmp_path, capsys):
     assert not (out / "comparison.csv").exists()
 
 
+def test_compare_refuses_a_cell_its_manifest_does_not_list(tmp_path, capsys):
+    # a rerun into the same directory rewrites the manifest and the CSVs of
+    # its own cells, and leaves the earlier run's other cells as they were
+    out = tmp_path / "results"
+    two_rates = write_cfg(tmp_path, CFG.replace("rates = 20", "rates = 10, 20"))
+    assert cli.main(["run", two_rates, "--out", str(out)]) == 0
+    longer = write_cfg(tmp_path, CFG.replace("rates = 20", "rates = 10")
+                       .replace("duration_s = 2", "duration_s = 4"))
+    assert cli.main(["run", longer, "--out", str(out)]) == 0
+    assert len(json.loads((out / "manifest.json").read_text())["cells"]) == 2
+    assert len(list(out.glob("metrics_*.csv"))) == 4
+    capsys.readouterr()
+    assert cli.main(["compare", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: metrics_dart_none_r20_s1.csv is not a cell of manifest.json"]
+    assert not (out / "comparison.csv").exists()
+    # cells gathered by hand, with no manifest, compare as they are
+    (out / "manifest.json").unlink()
+    assert cli.main(["compare", str(out)]) == 0
+    assert (out / "comparison.csv").exists()
+
+
 def _run_cli(tmp_path, line):
     # the line takes the place of CFG's line for its key: a key set twice is refused
     key = line.partition("=")[0]
@@ -289,9 +311,14 @@ def _compare_after(tmp_path, spoil, detail):
                                "unrecognised metrics file name: metrics_x.csv"),
     lambda tmp: _compare_after(tmp, lambda out: (out / "comparison.csv").mkdir(),
                                "i/o error:"),
+    lambda tmp: _compare_after(tmp, lambda out: (out / "manifest.json").write_text("{"),
+                               "config error: manifest.json: JSONDecodeError: Expecting"),
+    lambda tmp: _compare_after(tmp, lambda out: (out / "manifest.json").write_text("[]"),
+                               "config error: manifest.json: TypeError:"),
 ], ids=["run-out-is-a-file", "run-trace-dir-missing", "scenario-trace-dir-missing",
         "compare-short-row", "compare-infinite-count", "compare-no-state-row",
-        "compare-bad-header", "compare-bad-file-name", "compare-output-is-a-dir"])
+        "compare-bad-header", "compare-bad-file-name", "compare-output-is-a-dir",
+        "compare-manifest-not-json", "compare-manifest-lists-no-cells"])
 def test_bad_output_path_or_csv_exits_1_with_one_line(case, tmp_path, capsys):
     argv, detail = case(tmp_path)
     capsys.readouterr()
@@ -303,7 +330,7 @@ def test_bad_output_path_or_csv_exits_1_with_one_line(case, tmp_path, capsys):
 def _resend_unreduced(self, sender, interest, now):
     # a broken relay: passes the Interest on without spending its hop budget
     t = self.fib.lookup(interest.name)[0]
-    return [Emission((t.next_hop, Interest(interest.name, interest.hop_count, 1)))]
+    return [(t.next_hop, Interest(interest.name, interest.hop_count, 1))]
 
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",

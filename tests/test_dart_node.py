@@ -40,7 +40,7 @@ def test_local_interest_creates_origin_leg_and_pending_rct():
     dst, msg = out[0]
     assert dst == "b" and isinstance(msg, Interest)
     assert msg.hop_count == 3  # distance to anchor via b
-    assert a.table_size() == 1
+    assert a.table_sizes()[0] == 1
     assert a.rct == {OBJ: ("c1",)}  # every RCT entry is pending
     leg = a.by_succ[msg.dart]
     assert leg.predecessor == "a" and leg.predecessor_dart == msg.dart
@@ -57,7 +57,7 @@ def test_local_interest_aggregates_second_consumer():
     out = a.on_local_interest("c2", OBJ, now=1.0)
     assert out == [] and a.aggregated == 1
     assert a.rct == {OBJ: ("c1", "c2")}
-    assert a.table_size() == 1  # no extra route state for an aggregated ask
+    assert a.table_sizes()[0] == 1  # no extra route state for an aggregated ask
 
 
 def test_waiting_consumer_that_asks_again_resends_the_interest():
@@ -70,11 +70,11 @@ def test_waiting_consumer_that_asks_again_resends_the_interest():
     assert a.on_local_interest("c2", OBJ, now=1.0) == []
     assert a.on_local_interest("c1", OBJ, now=2.0) == [first]
     assert a.rct == {OBJ: ("c1", "c2")} and a.aggregated == 1
-    assert a.table_size() == 1 and a.by_succ[first.message.dart].last_used == 2.0
+    assert a.table_sizes()[0] == 1 and a.by_succ[first[1].dart].last_used == 2.0
     # the origin leg idled out meanwhile: the re-sent Interest opens a new one
     a.evict_darts(now=60_000.0)
     (again,) = a.on_local_interest("c2", OBJ, now=60_001.0)
-    assert again.message.dart != first.message.dart and a.table_size() == 1
+    assert again[1].dart != first[1].dart and a.table_sizes()[0] == 1
     assert a.rct == {OBJ: ("c1", "c2")} and a.aggregated == 1
     assert a.interests_received == 4
 
@@ -82,9 +82,9 @@ def test_waiting_consumer_that_asks_again_resends_the_interest():
 def test_origin_leg_shared_across_names_to_same_anchor():
     _, fibs = line_fibs()
     a = make("a", fibs)
-    (d1,) = [e.message.dart for e in a.on_local_interest("c1", OBJ, 0.0)]
-    (d2,) = [e.message.dart for e in a.on_local_interest("c1", OBJ2, 0.0)]
-    assert d1 == d2 and a.table_size() == 1
+    (d1,) = [m.dart for _, m in a.on_local_interest("c1", OBJ, 0.0)]
+    (d2,) = [m.dart for _, m in a.on_local_interest("c1", OBJ2, 0.0)]
+    assert d1 == d2 and a.table_sizes()[0] == 1
     assert a.rct == {OBJ: ("c1",), OBJ2: ("c1",)}
 
 
@@ -94,14 +94,14 @@ def test_local_interest_store_hit_short_circuits():
     a.store.cache(DataPacket(OBJ))
     out = a.on_local_interest("c1", OBJ, 0.0)
     assert out == [("c1", DataPacket(OBJ))]
-    assert a.table_size() == 0 and not a.rct
+    assert a.table_sizes()[0] == 0 and not a.rct
 
 
 def test_local_interest_anchored_paths():
     _, fibs = line_fibs()
     d = make("d", fibs, anchored=(P,))
     assert d.on_local_interest("c1", OBJ, 0.0) == [("c1", Nack(OBJ, NackCode.NO_CONTENT))]
-    d.store.add_owned(DataPacket(OBJ))
+    d = make("d", fibs, anchored=(P,), owned={OBJ})
     assert d.on_local_interest("c1", OBJ, 0.0) == [("c1", DataPacket(OBJ))]
 
 
@@ -121,7 +121,7 @@ def test_neighbor_interest_forwards_and_keeps_budget_shrinking():
     assert dst == "c" and msg.hop_count == 2 and msg.dart != 7
     leg = b.legs[("a", 7)]
     assert leg.successor == "c" and leg.successor_dart == msg.dart
-    assert leg.hop_count == 2 and b.table_size() == 1
+    assert leg.hop_count == 2 and b.table_sizes()[0] == 1
 
 
 def test_neighbor_interest_fast_path_reuses_leg():
@@ -129,8 +129,8 @@ def test_neighbor_interest_fast_path_reuses_leg():
     b = make("b", fibs)
     (first,) = b.on_neighbor_interest("a", Interest(OBJ, 3, 7), now=0.0)
     (again,) = b.on_neighbor_interest("a", Interest(OBJ2, 3, 7), now=5.0)
-    assert again == ("c", Interest(OBJ2, 2, first.message.dart))
-    assert b.table_size() == 1
+    assert again == ("c", Interest(OBJ2, 2, first[1].dart))
+    assert b.table_sizes()[0] == 1
     assert b.legs[("a", 7)].last_used == 5.0
 
 
@@ -140,7 +140,7 @@ def test_neighbor_interest_refuses_without_forward_progress():
     # budget 2: c is at distance 2 (not strictly closer), a is excluded
     out = b.on_neighbor_interest("a", Interest(OBJ, 2, 9), now=0.0)
     assert out == [("a", Nack(OBJ, NackCode.LOOP, 9))]
-    assert b.loop_nacks == 1 and b.table_size() == 0
+    assert b.loop_nacks == 1 and b.table_sizes()[0] == 0
 
 
 def test_neighbor_interest_excludes_sender_even_if_closer():
@@ -150,8 +150,8 @@ def test_neighbor_interest_excludes_sender_even_if_closer():
     fibs = compute_fibs(topo)
     b = make("b", fibs)
     # from z itself with a huge budget: a (distance 2) admissible, z excluded
-    (out,) = b.on_neighbor_interest("z", Interest(OBJ, 9, 3), now=0.0)
-    assert out.dst == "a"
+    ((dst, _),) = b.on_neighbor_interest("z", Interest(OBJ, 9, 3), now=0.0)
+    assert dst == "a"
 
 
 def test_neighbor_interest_store_anchor_and_no_route():
@@ -174,7 +174,7 @@ def test_neighbor_interest_on_an_empty_fib_entry_is_no_route_not_loop():
     b = DartRouter("b", Fib({P: ()}))
     assert b.on_neighbor_interest("a", Interest(OBJ, 3, 7), 0.0) == \
         [("a", Nack(OBJ, NackCode.NO_ROUTE, 7))]
-    assert b.loop_nacks == 0 and b.table_size() == 0
+    assert b.loop_nacks == 0 and b.table_sizes()[0] == 0
 
 
 def test_a_new_leg_looks_up_the_fib_once():
@@ -184,7 +184,7 @@ def test_a_new_leg_looks_up_the_fib_once():
     lookup = b.fib.lookup
     b.fib.lookup = lambda name: lookups.append(name) or lookup(name)
     b.on_neighbor_interest("a", Interest(OBJ, 3, 7), now=0.0)
-    assert lookups == [OBJ] and b.table_size() == 1
+    assert lookups == [OBJ] and b.table_sizes()[0] == 1
 
 
 def test_a_refused_stamp_leaves_no_half_made_leg():
@@ -210,7 +210,7 @@ def relay_with_leg(mode=CachingMode.EDGE):
     _, fibs = line_fibs()
     b = make("b", fibs, mode=mode)
     (fwd,) = b.on_neighbor_interest("a", Interest(OBJ, 3, 7), now=0.0)
-    return b, fwd.message.dart
+    return b, fwd[1].dart
 
 
 def test_data_relayed_back_swaps_darts():
@@ -241,14 +241,14 @@ def origin_with_pending(mode=CachingMode.EDGE):
     a = make("a", fibs, mode=mode)
     (fwd,) = a.on_local_interest("c2", OBJ, 0.0)
     a.on_local_interest("c1", OBJ, 0.0)
-    return a, fwd.message.dart
+    return a, fwd[1].dart
 
 
 def test_data_at_origin_fans_out_sorted_and_settles_rct():
     a, sd = origin_with_pending()
     out = a.on_data("b", DataPacket(OBJ, sd), now=3.0)
-    assert [e.dst for e in out] == ["c1", "c2"]
-    assert all(e.message == DataPacket(OBJ) for e in out)
+    assert [dst for dst, _ in out] == ["c1", "c2"]
+    assert all(m == DataPacket(OBJ) for _, m in out)
     assert OBJ not in a.rct and not a.rct  # a satisfied entry is deleted
     assert a.store.get(OBJ) is not None  # edge router delivered locally
     # content now serves repeats without any new route state
@@ -267,7 +267,7 @@ def test_rct_entry_keeps_aggregated_consumers_until_each_gives_up():
     a.give_up("c9", OBJ)  # not waiting here: nothing changes
     assert a.rct == {OBJ: ("c3", "c2")}
     # fan-out is sorted, not in the order the consumers asked
-    out = a.on_data("b", DataPacket(OBJ, fwd.message.dart), 1.0)
+    out = a.on_data("b", DataPacket(OBJ, fwd[1].dart), 1.0)
     assert out == [("c2", DataPacket(OBJ)), ("c3", DataPacket(OBJ))] and not a.rct
     # the last consumer to give up takes the entry with it
     a.on_local_interest("c1", OBJ2, 2.0)
@@ -310,7 +310,7 @@ def test_evict_darts_is_idle_based():
     b, sd = relay_with_leg()
     b.on_neighbor_interest("a", Interest(OBJ2, 3, 8), now=5_000.0)
     assert b.evict_darts(now=11_000.0) == 1  # only the leg idle since t=0
-    assert b.table_size() == 1 and list(b.legs) == [("a", 8)]
+    assert b.table_sizes()[0] == 1 and list(b.legs) == [("a", 8)]
     assert b.dart_evicted == 1
     # refreshing keeps an entry alive indefinitely
     b.on_neighbor_interest("a", Interest(OBJ, 3, 8), now=14_000.0)
@@ -320,11 +320,11 @@ def test_evict_darts_is_idle_based():
 def test_evicted_origin_leg_is_recreated_on_next_ask():
     a, sd = origin_with_pending()
     assert a.evict_darts(now=60_000.0) == 1
-    assert a.table_size() == 0
+    assert a.table_sizes()[0] == 0
     assert a.by_succ == a.legs == {}
     (fwd,) = a.on_local_interest("c3", OBJ2, 60_001.0)
-    assert a.table_size() == 1 and fwd.message.dart != sd
-    assert a.legs == {("d", "b"): a.by_succ[fwd.message.dart]}
+    assert a.table_sizes()[0] == 1 and fwd[1].dart != sd
+    assert a.legs == {("d", "b"): a.by_succ[fwd[1].dart]}
 
 
 def test_fresh_dart_wraps_and_skips_in_use():
@@ -353,15 +353,15 @@ def test_evicted_content_is_fetched_again_through_a_fresh_rct_entry():
     _, fibs = line_fibs()
     a = DartRouter("a", fibs["a"], caching_mode=CachingMode.EDGE, store_capacity=1)
     (f1,) = a.on_local_interest("c1", OBJ, 0.0)
-    a.on_data("b", DataPacket(OBJ, f1.message.dart), 1.0)
+    a.on_data("b", DataPacket(OBJ, f1[1].dart), 1.0)
     (f2,) = a.on_local_interest("c1", OBJ2, 2.0)
-    a.on_data("b", DataPacket(OBJ2, f2.message.dart), 3.0)
+    a.on_data("b", DataPacket(OBJ2, f2[1].dart), 3.0)
     assert not a.rct                 # satisfied entries never outlive their Data
     assert a.store.evictions == 1
     assert OBJ not in a.store.cached and OBJ2 in a.store.cached
     # the evicted name goes out again and waits in a new entry
     assert a.on_local_interest("c2", OBJ, 4.0) == \
-        [("b", Interest(OBJ, f1.message.hop_count, f1.message.dart))]
+        [("b", Interest(OBJ, f1[1].hop_count, f1[1].dart))]
     assert a.rct == {OBJ: ("c2",)}
 
 

@@ -26,7 +26,6 @@ from dartlab.engine import (
     WorkloadSpec,
     _Simulation,
     generate_workload,
-    run,
     sample_table_sizes,
     simulate,
     zipf_cumulative,
@@ -36,8 +35,6 @@ from dartlab.experiment import build_topology, parse_config, run_cell, simulate_
 from dartlab.model import (
     CachingMode,
     ContentStore,
-    DataPacket,
-    Emission,
     Interest,
     Name,
     NdnInterest,
@@ -149,8 +146,8 @@ def test_engine_dispatches_exactly_the_generated_workload(scheme, tmp_path):
     spec = WorkloadSpec(0.7, 20, per_router_rate=40.0, duration=3.0, seed="stream")
     names = catalog(20)
     path = tmp_path / "trace.txt"
-    rep = run(topo, compute_fibs(topo), scheme, "none", workload=spec,
-              consumers=consumers, catalog=names, trace_path=str(path))
+    rep = simulate(World.build(topo, compute_fibs(topo), names), scheme, "none",
+                   workload=spec, consumers=consumers, trace_path=str(path))
     asked = []
     for line in path.read_text().splitlines():
         t, router, direction, kind, name, _, _, peer = line.split(" ")
@@ -215,7 +212,7 @@ def _assert_read_only(store):
     with pytest.raises(TypeError):
         store.owned[held] = None
     with pytest.raises(AttributeError):
-        store.add_owned(DataPacket(held))
+        store.owned.add(held)
 
 
 @pytest.mark.parametrize("scheme", ["dart", "ndn"])
@@ -231,8 +228,8 @@ def test_routers_that_anchor_nothing_skip_the_anchor_test(scheme, monkeypatch):
     topo, fibs = line_topology()
     # every router misses /p/7; only the anchor "d" tests it, and refuses it
     asks = [(0.0, "c.a", Name.parse("/p/7")), (0.0, "c.b", Name.parse("/p/0"))]
-    rep = run(topo, fibs, scheme, "none", requests=asks, catalog=catalog(1),
-              duration_ms=5_000.0)
+    rep = simulate(World.build(topo, fibs, catalog(1)), scheme, "none", requests=asks,
+                   duration_ms=5_000.0)
     assert rep.delivered == 1 and tested and all(tested)
 
 
@@ -245,14 +242,14 @@ def test_sample_table_sizes_idle_and_in_flight():
     # one request in flight over three hops -> three PITs of size 1, each
     # router holding its nonce
     out = ndn["a"].on_interest("cons", NdnInterest(Name.parse("/p/0"), 1), 0.0)
-    out = ndn["b"].on_interest("a", out[0].message, 1.0)
-    ndn["c"].on_interest("b", out[0].message, 2.0)
+    out = ndn["b"].on_interest("a", out[0][1], 1.0)
+    ndn["c"].on_interest("b", out[0][1], 2.0)
     assert sample_table_sizes(ndn) == {"a": (1, 1), "b": (1, 1), "c": (1, 1), "d": (0, 0)}
 
     dart = {r: DartRouter(r, fibs[r]) for r in topo.routers}
     assert sample_table_sizes(dart) == {r: (0, 0) for r in topo.routers}
     out = dart["a"].on_local_interest("cons", Name.parse("/p/0"), 0.0)
-    dart["b"].on_neighbor_interest("a", out[0].message, 1.0)
+    dart["b"].on_neighbor_interest("a", out[0][1], 1.0)
     sizes = sample_table_sizes(dart)
     assert sizes["a"] == (1, 1) and sizes["b"] == (1, 0)
     for router in (ndn["a"], dart["a"]):
@@ -264,9 +261,9 @@ def test_sample_table_sizes_idle_and_in_flight():
     asks = [(0.0, "c.a", Name.parse("/p/0")), (0.0, "c.a", Name.parse("/p/1"))]
     peaks = {}
     for scheme in ("dart", "ndn"):
-        rep = run(topo, fibs, scheme, "none", requests=asks, consumers={"c.a": "a"},
-                  catalog=catalog(2), duration_ms=200.0, sample_interval_ms=1.0,
-                  warmup_fraction=0.0)
+        rep = simulate(World.build(topo, fibs, catalog(2)), scheme, "none", requests=asks,
+                       consumers={"c.a": "a"}, duration_ms=200.0, sample_interval_ms=1.0,
+                       warmup_fraction=0.0)
         assert rep.delivered == 2 and rep.tables == tuple(rep.table_max)
         peaks[scheme] = rep.table_max
     assert peaks["dart"] == {"dart_legs": {"a": 1, "b": 1, "c": 0},
@@ -281,10 +278,10 @@ def test_sample_table_sizes_idle_and_in_flight():
 def two_router_run(scheme):
     topo = Topology(("a", "b"), {("a", "b"): 25.0}, {P: ("b",)})
     fibs = compute_fibs(topo)
-    return run(topo, fibs, scheme, "none",
-               requests=[(0.0, "c.a", Name.parse("/p/0"))],
-               consumers={"c.a": "a"}, catalog=catalog(), duration_ms=1000.0,
-               warmup_fraction=0.0)
+    return simulate(World.build(topo, fibs, catalog()), scheme, "none",
+                    requests=[(0.0, "c.a", Name.parse("/p/0"))],
+                    consumers={"c.a": "a"}, duration_ms=1000.0,
+                    warmup_fraction=0.0)
 
 
 @pytest.mark.parametrize("scheme", ["dart", "ndn"])
@@ -301,8 +298,8 @@ def test_conservation_under_consistent_fibs(scheme):
     topo = topo.with_anchors({P: (topo.routers[0],)})
     fibs = compute_fibs(topo)
     wl = WorkloadSpec(0.7, 50, per_router_rate=5.0, duration=4.0, seed=11)
-    rep = run(topo, fibs, scheme, "edge", workload=wl, catalog=catalog(50),
-              retry_timeout_ms=30_000.0)
+    rep = simulate(World.build(topo, fibs, catalog(50)), scheme, "edge", workload=wl,
+                   retry_timeout_ms=30_000.0)
     assert rep.requests > 100
     assert rep.delivered == rep.requests
     assert rep.nacked == 0 and rep.abandoned == 0
@@ -311,9 +308,9 @@ def test_conservation_under_consistent_fibs(scheme):
 
 def test_interests_received_counts_every_arrival_and_local_ask():
     topo, fibs = line_topology()
-    rep = run(topo, fibs, "dart", "none",
-              requests=[(0.0, "c.a", Name.parse("/p/0"))],
-              consumers={"c.a": "a"}, catalog=catalog(), duration_ms=1000.0)
+    rep = simulate(World.build(topo, fibs, catalog()), "dart", "none",
+                   requests=[(0.0, "c.a", Name.parse("/p/0"))],
+                   consumers={"c.a": "a"}, duration_ms=1000.0)
     assert rep.interests_received == {"a": 1, "b": 1, "c": 1, "d": 1}
 
 
@@ -321,9 +318,9 @@ def test_retry_counts_as_received_interest_and_gives_up():
     # no route anywhere: consumer is nacked immediately, so no retries happen
     topo = Topology(("a", "b"), {("a", "b"): 25.0}, {P: ("b",)})
     fibs = compute_fibs(topo)
-    rep = run(topo, fibs, "dart", "none",
-              requests=[(0.0, "c.a", Name.parse("/q/0"))],
-              consumers={"c.a": "a"}, catalog=catalog(), duration_ms=1000.0)
+    rep = simulate(World.build(topo, fibs, catalog()), "dart", "none",
+                   requests=[(0.0, "c.a", Name.parse("/q/0"))],
+                   consumers={"c.a": "a"}, duration_ms=1000.0)
     assert rep.nacked == 1 and rep.nacked_by_code == {"no-route": 1}
     assert rep.retries == 0
 
@@ -457,10 +454,11 @@ def test_retry_timer_ties_break_in_push_order(tmp_path):
     # pushed before c.1's retry is armed, so it is handled first at t=1000.
     topo, fibs = line_topology(2, delay=600.0)
     path = tmp_path / "trace.txt"
-    rep = run(topo, fibs, "dart", "none",
-              requests=[(0.0, "c.1", Name.parse("/p/0")), (1000.0, "c.2", Name.parse("/p/1"))],
-              consumers={"c.1": "a", "c.2": "a"}, catalog=catalog(2),
-              retry_timeout_ms=1000.0, duration_ms=3000.0, trace_path=str(path))
+    rep = simulate(World.build(topo, fibs, catalog(2)), "dart", "none",
+                   requests=[(0.0, "c.1", Name.parse("/p/0")),
+                             (1000.0, "c.2", Name.parse("/p/1"))],
+                   consumers={"c.1": "a", "c.2": "a"},
+                   retry_timeout_ms=1000.0, duration_ms=3000.0, trace_path=str(path))
     at_1000 = [line.split()[-1] for line in path.read_text().splitlines()
                if line.startswith("t=1000.0 a RX INT")]
     assert at_1000 == ["peer=c.2", "peer=c.1"]
@@ -476,11 +474,11 @@ def test_ties_across_the_three_queues_break_in_push_order(tmp_path):
     links = {("a", "b"): 100.0, ("b", "c"): 100.0, ("c", "d"): 100.0, ("a", "e"): 50.0}
     topo = Topology(("a", "b", "c", "d", "e"), links, {P: ("d",)})
     path = tmp_path / "trace.txt"
-    run(topo, compute_fibs(topo), "dart", "none",
-        requests=[(0.0, "c.1", Name.parse("/p/0")), (300.0, "c.2", Name.parse("/p/1")),
-                  (250.0, "c.3", Name.parse("/p/2"))],
-        consumers={"c.1": "a", "c.2": "a", "c.3": "e"}, catalog=catalog(3),
-        retry_timeout_ms=300.0, duration_ms=1000.0, trace_path=str(path))
+    simulate(World.build(topo, compute_fibs(topo), catalog(3)), "dart", "none",
+             requests=[(0.0, "c.1", Name.parse("/p/0")), (300.0, "c.2", Name.parse("/p/1")),
+                       (250.0, "c.3", Name.parse("/p/2"))],
+             consumers={"c.1": "a", "c.2": "a", "c.3": "e"},
+             retry_timeout_ms=300.0, duration_ms=1000.0, trace_path=str(path))
     at_300 = [line.split(" name=")[0] + " " + line.split()[-1]
               for line in path.read_text().splitlines()
               if line.startswith("t=300.0 ") and " RX " in line]
@@ -491,17 +489,17 @@ def test_ties_across_the_three_queues_break_in_push_order(tmp_path):
 def test_warmup_gates_delay_samples():
     topo, fibs = line_topology(2)
     reqs = [(100.0, "c.a", Name.parse("/p/0")), (600.0, "c.a", Name.parse("/p/1"))]
-    rep = run(topo, fibs, "dart", "none", requests=reqs,
-              consumers={"c.a": "a"}, catalog=catalog(2), duration_ms=1000.0,
-              warmup_fraction=0.5)
+    rep = simulate(World.build(topo, fibs, catalog(2)), "dart", "none", requests=reqs,
+                   consumers={"c.a": "a"}, duration_ms=1000.0,
+                   warmup_fraction=0.5)
     assert rep.delivered == 2
     assert rep.delay_count["a"] == 1  # only the post-warmup issue is sampled
 
 
-def traced_paths(tmp_path, *args, **kw):
+def traced_paths(tmp_path, topo, fibs, *args, catalog, **kw):
     """Run one cell with a trace; return its report and request_paths."""
     path = tmp_path / "trace.txt"
-    rep = run(*args, trace_path=str(path), **kw)
+    rep = simulate(World.build(topo, fibs, catalog), *args, trace_path=str(path), **kw)
     return rep, request_paths(path.read_text().splitlines())
 
 
@@ -623,13 +621,11 @@ def test_determinism_of_reports():
     topo = topo.with_anchors({P: (topo.routers[1],)})
     fibs = compute_fibs(topo)
     wl = WorkloadSpec(0.7, 30, 8.0, 3.0, seed="det")
-    kw = dict(workload=wl, catalog=catalog(30))
-    r1 = run(topo, fibs, "ndn", "edge", **kw)
-    r2 = run(topo, fibs, "ndn", "edge", **kw)
+    r1 = simulate(World.build(topo, fibs, catalog(30)), "ndn", "edge", workload=wl)
+    r2 = simulate(World.build(topo, fibs, catalog(30)), "ndn", "edge", workload=wl)
     assert r1.rows() == r2.rows()
-    r3 = run(topo, fibs, "ndn", "edge",
-             workload=WorkloadSpec(0.7, 30, 8.0, 3.0, seed="other"),
-             catalog=catalog(30))
+    r3 = simulate(World.build(topo, fibs, catalog(30)), "ndn", "edge",
+                  workload=WorkloadSpec(0.7, 30, 8.0, 3.0, seed="other"))
     assert r3.rows() != r1.rows()
 
 
@@ -649,7 +645,7 @@ def test_audit_catches_non_descending_hop_budget():
     honest = sim.routers["b"]
 
     def stuck(sender, interest, now):
-        return [Emission(("c", Interest(interest.name, interest.hop_count, 77)))]
+        return [("c", Interest(interest.name, interest.hop_count, 77))]
 
     honest.on_neighbor_interest = stuck
     with pytest.raises(AuditError) as ei:
@@ -676,7 +672,7 @@ def test_audit_error_lists_fifo_and_heap_deliveries_in_order(monkeypatch):
 
     def stuck_late(sender, interest, now):
         if now > 300.0:
-            return [Emission(("e", Interest(interest.name, interest.hop_count, 77)))]
+            return [("e", Interest(interest.name, interest.hop_count, 77))]
         return honest(sender, interest, now)
 
     sim.routers["d"].on_neighbor_interest = stuck_late
@@ -739,9 +735,9 @@ def test_audit_catches_forwarding_revisit():
                       requests=[(0.0, "c.a", Name.parse("/p/0"))],
                       consumers={"c.a": "a"}, duration_ms=2000.0)
     sim.routers["b"].on_neighbor_interest = \
-        lambda s, i, now: [Emission(("c", Interest(i.name, i.hop_count - 1, 88)))]
+        lambda s, i, now: [("c", Interest(i.name, i.hop_count - 1, 88))]
     sim.routers["c"].on_neighbor_interest = \
-        lambda s, i, now: [Emission(("b", Interest(i.name, i.hop_count - 1, 99)))]
+        lambda s, i, now: [("b", Interest(i.name, i.hop_count - 1, 99))]
     with pytest.raises(AuditError) as ei:
         sim.run()
     assert ei.value.kind == "path-acyclicity"
@@ -752,7 +748,7 @@ def test_audit_catches_forwarding_revisit():
 def test_audits_can_be_disabled():
     topo, fibs, sim = scripted_sim(audits=False, retry_timeout_ms=100.0)
     sim.routers["b"].on_neighbor_interest = \
-        lambda s, i, now: [Emission(("c", Interest(i.name, i.hop_count, 77)))]
+        lambda s, i, now: [("c", Interest(i.name, i.hop_count, 77))]
     rep = sim.run()  # completes instead of aborting; the request just dies
     assert rep.abandoned == 1
 
@@ -1002,7 +998,7 @@ def test_run_suspends_gc_and_restores_the_callers_state(enabled, audit_fails):
     def spy(sender, interest, now):
         seen.append(gc.isenabled())
         if audit_fails:
-            return [Emission(("c", Interest(interest.name, interest.hop_count, 77)))]
+            return [("c", Interest(interest.name, interest.hop_count, 77))]
         return honest(sender, interest, now)
 
     sim.routers["b"].on_neighbor_interest = spy
@@ -1027,10 +1023,10 @@ def test_trace_file_format(tmp_path):
     topo, fibs = line_topology(3)
     path = tmp_path / "trace.txt"
     weird = Name(["p", "a b", "c=d", "%25", "\n", "é"])
-    run(topo, fibs, "dart", "none",
-        requests=[(0.0, "c.a", Name.parse("/p/0")), (1.0, "c.a", weird)],
-        consumers={"c.a": "a"}, catalog=catalog(), duration_ms=500.0,
-        trace_path=str(path))
+    simulate(World.build(topo, fibs, catalog()), "dart", "none",
+             requests=[(0.0, "c.a", Name.parse("/p/0")), (1.0, "c.a", weird)],
+             consumers={"c.a": "a"}, duration_ms=500.0,
+             trace_path=str(path))
     lines = path.read_text().splitlines()
     assert lines, "trace should not be empty"
     pat = re.compile(r"^t=[0-9.]+ \S+ (RX|TX|DROP) (INT|DATA|NACK) "
@@ -1051,21 +1047,21 @@ def test_trace_marks_dropped_packets(tmp_path):
     topo, fibs = line_topology(3)
     # DART: legs idle out while the Data is in flight, so b drops it as an orphan
     path = tmp_path / "dart.txt"
-    rep = run(topo, fibs, "dart", "none",
-              requests=[(0.0, "c.a", Name.parse("/p/0"))],
-              consumers={"c.a": "a"}, catalog=catalog(), duration_ms=500.0,
-              dart_ttl_ms=10.0, sweep_interval_ms=20.0, trace_path=str(path))
+    rep = simulate(World.build(topo, fibs, catalog()), "dart", "none",
+                   requests=[(0.0, "c.a", Name.parse("/p/0"))],
+                   consumers={"c.a": "a"}, duration_ms=500.0,
+                   dart_ttl_ms=10.0, sweep_interval_ms=20.0, trace_path=str(path))
     assert _drops(path.read_text().splitlines()) == ["t=75.0 b DROP DATA"]
     assert rep.orphan_data == 1
 
     # NDN: an expired PIT entry orphans the Data, and every Nack is swallowed
     path = tmp_path / "ndn.txt"
-    rep = run(topo, fibs, "ndn", "none",
-              requests=[(0.0, "c.a", Name.parse("/p/0")),
-                        (0.0, "c.a", Name.parse("/p/9"))],  # the anchor lacks it
-              consumers={"c.a": "a"}, catalog=catalog(), duration_ms=500.0,
-              pit_lifetime_ms=10.0, sweep_interval_ms=20.0, max_tries=1,
-              trace_path=str(path))
+    rep = simulate(World.build(topo, fibs, catalog()), "ndn", "none",
+                   requests=[(0.0, "c.a", Name.parse("/p/0")),
+                             (0.0, "c.a", Name.parse("/p/9"))],  # the anchor lacks it
+                   consumers={"c.a": "a"}, duration_ms=500.0,
+                   pit_lifetime_ms=10.0, sweep_interval_ms=20.0, max_tries=1,
+                   trace_path=str(path))
     lines = path.read_text().splitlines()
     assert _drops(lines) == ["t=75.0 b DROP DATA", "t=75.0 b DROP NACK"]
     assert not any(" RX NACK " in l for l in lines)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dartlab import experiment
-from dartlab.engine import WorkloadSpec, generate_workload, run
+from dartlab.engine import World, WorkloadSpec, generate_workload, simulate
 from dartlab.experiment import (
     ConfigError,
     ExperimentConfig,
@@ -157,7 +157,7 @@ def test_build_topology_and_catalog_round_robin():
     # rank k lands on producer k mod 3
     for k in (0, 1, 2, 3, 7):
         assert prefixes[k % 3].matches(names[k])
-    assert names[0] == Name((*prefixes[0].components, "o00000"))
+    assert names[0] == Name((*prefixes[0], "o00000"))
     # producers=0 means everybody anchors
     all_cfg = parse_config(TINY.replace("producers = 1", "producers = 0"))
     assert len(build_topology(all_cfg).anchors) == 2
@@ -401,20 +401,21 @@ def test_cells_leave_the_shared_world_as_it_was_built(fresh_world):
 
 @pytest.mark.parametrize("scheme, caching", [("dart", "edge"), ("ndn", "onpath")])
 def test_a_one_off_world_runs_as_the_shared_world(scheme, caching, tmp_path, fresh_world):
-    # engine.run builds its own world from a list catalog; simulate_cell
-    # reuses the process's memoised one
+    # a world built here from a list catalog; simulate_cell reuses the
+    # process's memoised one
     cfg = replace(parse_config(WORLD), store_capacity=5)
     shared_trace, own_trace = tmp_path / "shared", tmp_path / "own"
     shared = simulate_cell(cfg, scheme, caching, 20.0, 1, str(shared_trace))
     topo = build_topology(cfg)
-    own = run(topo, compute_fibs(topo), scheme, caching,
-              WorkloadSpec(cfg.zipf_alpha, cfg.catalog, 20.0, cfg.duration_s, 1), cfg.audit,
-              catalog=build_catalog(cfg, topo), trace_path=str(own_trace),
-              dart_ttl_ms=cfg.dart_ttl_s * 1000.0,
-              pit_lifetime_ms=cfg.pit_lifetime_s * 1000.0,
-              retry_timeout_ms=cfg.retry_timeout_s * 1000.0, max_tries=cfg.max_tries,
-              warmup_fraction=cfg.warmup_frac, sample_interval_ms=cfg.sample_interval_ms,
-              sweep_interval_ms=cfg.sweep_interval_s * 1000.0, store_capacity=5)
+    world = World.build(topo, compute_fibs(topo), build_catalog(cfg, topo))
+    own = simulate(world, scheme, caching,
+                   WorkloadSpec(cfg.zipf_alpha, cfg.catalog, 20.0, cfg.duration_s, 1), cfg.audit,
+                   trace_path=str(own_trace),
+                   dart_ttl_ms=cfg.dart_ttl_s * 1000.0,
+                   pit_lifetime_ms=cfg.pit_lifetime_s * 1000.0,
+                   retry_timeout_ms=cfg.retry_timeout_s * 1000.0, max_tries=cfg.max_tries,
+                   warmup_fraction=cfg.warmup_frac, sample_interval_ms=cfg.sample_interval_ms,
+                   sweep_interval_ms=cfg.sweep_interval_s * 1000.0, store_capacity=5)
     assert shared.delivered > 0 and shared.store_evictions > 0
     assert own.rows() == shared.rows()
     assert own_trace.read_bytes() == shared_trace.read_bytes()

@@ -1,4 +1,5 @@
 import pickle
+import re
 
 import pytest
 
@@ -25,6 +26,14 @@ MESSAGES = [
     (Nack(N, NackCode.LOOP, 7), "Nack(name=Name('/a/b'), code=<NackCode.LOOP: 'loop'>, dart=7)"),
     (NdnInterest(N, 2**64 - 1), f"NdnInterest(name=Name('/a/b'), nonce={2**64 - 1})"),
 ]
+# names and prefixes, with their repr: a Name is a Prefix with at least one
+# component
+NAMES = [
+    (N, "Name('/a/b')"),
+    (Name.parse("/a"), "Name('/a')"),
+    (Prefix.parse("/a/b"), "Prefix('/a/b')"),
+    (Prefix.parse("/"), "Prefix('/')"),
+]
 
 
 def test_name_parse_roundtrip():
@@ -33,7 +42,7 @@ def test_name_parse_roundtrip():
     assert str(n) == "/video/cats/seg3"
     assert Name.parse(str(n)) == n
     p = Prefix.parse("/video/cats")
-    assert tuple(p) == p.components == ("video", "cats")
+    assert tuple(p) == ("video", "cats")
     for obj in (n, p, Prefix.parse("/")):
         back = pickle.loads(pickle.dumps(obj))
         assert type(back) is type(obj) and back == obj
@@ -64,6 +73,38 @@ def test_name_ordering_and_hash():
             obj.other = 1
 
 
+@pytest.mark.parametrize("obj, text", NAMES)
+def test_names_and_prefixes_compare_and_hash_as_their_components(obj, text):
+    comps = tuple(obj)
+    # a name equals, and hashes as, the prefix and the plain tuple of its
+    # components, so table orders are those of plain tuple keys
+    for twin in (comps, Prefix(comps), type(obj).parse(str(obj))):
+        assert twin == obj and obj == twin and not twin != obj
+        assert hash(twin) == hash(obj)
+    assert len({obj, comps, Prefix(comps)}) == 1
+    assert repr(obj) == text and type(type(obj).parse(str(obj))) is type(obj)
+    # a prefix matches every name that extends it; the empty one, any name
+    assert obj.matches(Name((*obj, "x"))) and obj.matches(Name((*obj, "x", "y")))
+    assert obj.matches(N) == (N[:len(obj)] == comps)
+
+
+@pytest.mark.parametrize("build, arg, message", [
+    (Name.parse, "/", "name needs at least one component"),
+    (Name, (), "name needs at least one component"),
+    (Name, ("a/b",), "component contains separator: 'a/b'"),
+    (Prefix, ("a", "b/c"), "component contains separator: 'b/c'"),
+    (Name.parse, "/a//b", "empty name component"),
+    (Prefix.parse, "/a/", "empty prefix component"),
+    (Name.parse, "a/b", "name must start with '/'"),
+    (Prefix.parse, "", "prefix must start with '/'"),
+], ids=["Name.parse-root", "Name-empty", "Name-separator", "Prefix-separator",
+        "Name.parse-empty-component", "Prefix.parse-empty-component",
+        "Name.parse-no-slash", "Prefix.parse-no-slash"])
+def test_malformed_names_and_prefixes_are_refused(build, arg, message):
+    with pytest.raises(NameError_, match=re.escape(message)):
+        build(arg)
+
+
 def test_prefix_matching():
     p = Prefix.parse("/video/cats")
     assert p.matches(Name.parse("/video/cats/seg3"))
@@ -71,7 +112,7 @@ def test_prefix_matching():
     assert not p.matches(Name.parse("/video/dogs/seg3"))
     assert not p.matches(Name.parse("/video"))
     root = Prefix.parse("/")
-    assert len(root) == 0
+    assert len(root) == 0 and root == Prefix() == ()
     assert root.matches(Name.parse("/anything"))
     assert str(root) == "/"
     assert Prefix.parse(str(p)) == p
@@ -145,7 +186,7 @@ def test_messages_compare_and_hash_as_their_fields(msg, text):
         assert changed != msg and not changed == msg
 
 
-@pytest.mark.parametrize("msg, text", MESSAGES)
+@pytest.mark.parametrize("msg, text", MESSAGES + NAMES)
 def test_messages_pickle_through_their_constructor(msg, text):
     for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
         back = pickle.loads(pickle.dumps(msg, protocol))
@@ -174,9 +215,8 @@ def test_caching_mode_values():
 
 
 def test_content_store_owned_beats_cache_and_lru_evicts():
-    cs = ContentStore(capacity=2)
     n1, n2, n3 = (Name.parse(f"/o/{i}") for i in range(3))
-    cs.add_owned(DataPacket(n1))
+    cs = ContentStore(capacity=2, owned={n1})
     cs.cache(DataPacket(n1))  # owned wins, not cached
     assert cs.get(n1) is n1
     cs.cache(DataPacket(n2))

@@ -40,7 +40,7 @@ def test_interest_creates_pit_and_forwards_best_hop():
     interest = NdnInterest(OBJ, 111)
     out = b.on_interest("a", interest, now=0.0)
     assert out == [("c", NdnInterest(OBJ, 111))]  # nonce travels unchanged
-    assert out[0].message is interest  # forwarded as received, not rebuilt
+    assert out[0][1] is interest  # forwarded as received, not rebuilt
     assert b.pit[OBJ] == (4_000.0, "a") and list(b.seen_nonces) == [111]
     assert b.table_sizes() == (1, 1)
 
